@@ -13,7 +13,12 @@ Exactly one `ring` and one `command` line are required.  Commands:
 jets, dim, tangent-cone, check-main, lambda, lct-bound, mld-bound,
 ord-blowup.  Reports are byte-deterministic; timing goes to stderr.
 Exit codes: 0 ok, 2 parse error, 4 budget exhausted (a partial report
-is still printed when one exists), 3 any other precondition failure.
+is still printed when one exists), 3 any other precondition failure,
+5 the two routes of check-main disagreed where a theorem says they
+must agree (an internal error, reported rather than raised).
+
+`--jobs` / JETSPACE_JOBS are accepted and validated for compatibility;
+rows always run serially, so the value never changes the work done.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import time
 from fractions import Fraction
 
 from .corpus import CORPUS
-from .errors import BudgetExhausted, ParseError, PreconditionError
+from .errors import AgreementError, BudgetExhausted, ParseError, PreconditionError
 from .groebner import Budget, DEFAULT_BUDGET, Ideal
 from .invariants import (
     check_mld_hat_equals_n,
@@ -221,7 +226,7 @@ def _fmt_indices(indices):
     return "(" + ",".join(str(m) for m in indices) + ")"
 
 
-def _cmd_jets(doc, budget, jobs):
+def _cmd_jets(doc, budget):
     _check_params(doc.params, {"ideal", "m"}, doc.command)
     I = _ideal_param(doc, doc.params)
     m = _int_param(doc.params, "m", minimum=0)
@@ -233,7 +238,7 @@ def _cmd_jets(doc, budget, jobs):
     return human, data, "ok", 0
 
 
-def _cmd_dim(doc, budget, jobs):
+def _cmd_dim(doc, budget):
     _check_params(doc.params, {"ideal"}, doc.command)
     I = _ideal_param(doc, doc.params)
     res = I.krull_dimension(budget)
@@ -246,7 +251,7 @@ def _cmd_dim(doc, budget, jobs):
     return human, data, "ok", 0
 
 
-def _cmd_tangent_cone(doc, budget, jobs):
+def _cmd_tangent_cone(doc, budget):
     _check_params(doc.params, {"ideal"}, doc.command)
     I = _ideal_param(doc, doc.params)
     cone = tangent_cone(I, doc.point, budget)
@@ -257,15 +262,13 @@ def _cmd_tangent_cone(doc, budget, jobs):
     return human, data, "ok", 0
 
 
-def _cmd_check_main(doc, budget, jobs):
+def _cmd_check_main(doc, budget):
     _check_params(doc.params, {"ideal", "e_max", "cross_check"}, doc.command)
     I = _ideal_param(doc, doc.params)
     point = _point_required(doc)
     e_max = _int_param(doc.params, "e_max", default=3, minimum=0)
     cross = _bool_param(doc.params, "cross_check", True)
-    report = check_mld_hat_equals_n(
-        I, point, cross_check=cross, e_max=e_max, budget=budget, jobs=jobs
-    )
+    report = check_mld_hat_equals_n(I, point, cross_check=cross, e_max=e_max, budget=budget)
     human = [f"variety dimension n: {report.n}"]
     for i, g in enumerate(report.cone.ideal.gens, start=1):
         human.append(f"tangent cone generator {i}: {g}")
@@ -300,13 +303,13 @@ def _cmd_check_main(doc, budget, jobs):
     return human, data, "ok", 0
 
 
-def _cmd_lambda(doc, budget, jobs):
+def _cmd_lambda(doc, budget):
     _check_params(doc.params, {"ideal", "m_max", "e_max"}, doc.command)
     I = _ideal_param(doc, doc.params)
     point = _point_required(doc)
     m_max = _int_param(doc.params, "m_max", minimum=1)
     e_max = _int_param(doc.params, "e_max", default=3, minimum=0)
-    report = lambda_sequence(I, point, m_max, e_max=e_max, budget=budget, jobs=jobs)
+    report = lambda_sequence(I, point, m_max, e_max=e_max, budget=budget)
     human = [
         f"variety dimension n: {report.n}",
         f"singular locus dimension: {report.singular_dim}",
@@ -340,7 +343,7 @@ def _cmd_lambda(doc, budget, jobs):
     return human, data, "ok", 0
 
 
-def _cmd_lct_bound(doc, budget, jobs):
+def _cmd_lct_bound(doc, budget):
     _check_params(doc.params, {"ideal", "M", "e_max", "on"}, doc.command)
     on_name = doc.params.get("on")
     if on_name is not None and on_name not in doc.ideals:
@@ -395,7 +398,7 @@ def _parse_weighted_clauses(doc, text):
     return tuple(clauses)
 
 
-def _cmd_mld_bound(doc, budget, jobs):
+def _cmd_mld_bound(doc, budget):
     _check_params(doc.params, {"clauses", "center", "M"}, doc.command)
     clauses = _parse_weighted_clauses(doc, doc.params.get("clauses", ""))
     center_name = doc.params.get("center")
@@ -429,7 +432,7 @@ def _cmd_mld_bound(doc, budget, jobs):
     return human, data, "ok", 0
 
 
-def _cmd_ord_blowup(doc, budget, jobs):
+def _cmd_ord_blowup(doc, budget):
     _check_params(doc.params, {"ideal"}, doc.command)
     I = _ideal_param(doc, doc.params)
     res = ord_blowup_origin(I)
@@ -458,8 +461,8 @@ _DISPATCH = {
 }
 
 
-def execute(doc, budget, jobs):
-    human, data, status, code = _DISPATCH[doc.command](doc, budget, jobs)
+def execute(doc, budget):
+    human, data, status, code = _DISPATCH[doc.command](doc, budget)
     lines = ["== jetspace report =="]
     lines.append(f"command: {doc.command}")
     lines.append("inputs:")
@@ -518,15 +521,10 @@ def _resolve_budget(doc, args):
     return Budget(max_pairs=pairs, max_degree=degree)
 
 
-def _resolve_jobs(args):
-    jobs = args.jobs
-    if jobs is None:
-        jobs = _env_int("JETSPACE_JOBS")
-    if jobs is None:
-        jobs = 1
-    if jobs < 1:
+def _check_jobs(args):
+    jobs = args.jobs if args.jobs is not None else _env_int("JETSPACE_JOBS")
+    if jobs is not None and jobs < 1:
         raise ParseError("jobs must be at least 1")
-    return jobs
 
 
 def build_argparser():
@@ -540,7 +538,9 @@ def build_argparser():
         sp.add_argument("--out", help="write the report to this file instead of stdout")
         sp.add_argument("--max-pairs", type=int, help="pair budget for basis computations")
         sp.add_argument("--max-degree", type=int, help="degree budget for basis computations")
-        sp.add_argument("--jobs", type=int, help="worker threads for independent rows")
+        sp.add_argument(
+            "--jobs", type=int, help="accepted for compatibility; rows always run serially"
+        )
 
     run = sub.add_parser("run", help="execute an input file")
     run.add_argument("file", help="path to the input file")
@@ -572,8 +572,8 @@ def main(argv=None):
                     raise ParseError(f"cannot read input file: {exc}")
             doc = parse_input(text)
             budget = _resolve_budget(doc, args)
-            jobs = _resolve_jobs(args)
-            lines, code = execute(doc, budget, jobs)
+            _check_jobs(args)
+            lines, code = execute(doc, budget)
             out_text = "\n".join(lines) + "\n"
     except ParseError as exc:
         out_text = _error_report("parse-error", str(exc))
@@ -584,6 +584,9 @@ def main(argv=None):
     except BudgetExhausted as exc:
         out_text = _error_report("budget-exhausted", str(exc))
         code = 4
+    except AgreementError as exc:
+        out_text = _error_report("agreement-error", str(exc))
+        code = 5
     finally:
         elapsed = time.perf_counter() - started
         print(f"elapsed: {elapsed:.2f}s", file=sys.stderr)

@@ -2,7 +2,7 @@
 
 The CLI maps these onto distinct exit codes, so raising the right class is
 part of the public contract: ParseError -> 2, PreconditionError -> 3,
-BudgetExhausted -> 4.
+BudgetExhausted -> 4, AgreementError -> 5.
 """
 
 
@@ -49,6 +49,6 @@ class BudgetExhausted(JetspaceError):
 class AgreementError(JetspaceError):
     """Two routes that must agree by a theorem disagreed.
 
-    This signals an implementation bug, not bad input, and is never caught
-    internally.
+    This signals an implementation bug, not bad input.  The library never
+    catches it; the CLI reports it with status agreement-error and exit 5.
     """

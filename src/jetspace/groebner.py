@@ -18,13 +18,12 @@ a partial basis.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExhausted, PreconditionError, RingMismatchError
 from .orders import GREVLEX, Block
-from .poly import Polynomial, Ring, divide_exact, map_variables
+from .poly import Polynomial, Ring, divide_exact, fresh_name, map_variables
 
 
 @dataclass(frozen=True)
@@ -274,14 +273,6 @@ def normal_form(poly, basis_polys, order=GREVLEX, budget=None):
     return _from_internal(poly.ring, nf)
 
 
-def _fresh_name(base, names):
-    name = base
-    taken = set(names)
-    while name in taken:
-        name = "_" + name
-    return name
-
-
 @dataclass(frozen=True)
 class DimensionResult:
     """Krull dimension plus a witnessing independent set of variables."""
@@ -334,8 +325,7 @@ def _min_hitting_set(supports, nvars):
 class Ideal:
     """An ideal of a polynomial ring, given by generators.
 
-    Groebner bases are cached per term order; the cache is guarded by a
-    lock so ideals can be shared across worker threads.
+    Groebner bases are cached per term order.
     """
 
     def __init__(self, ring, gens):
@@ -350,7 +340,6 @@ class Ideal:
                 clean.append(g)
         self.gens = tuple(clean)
         self._gb_cache = {}
-        self._lock = threading.Lock()
 
     def __repr__(self):
         inside = ", ".join(str(g) for g in self.gens) or "0"
@@ -358,12 +347,9 @@ class Ideal:
 
     def groebner_basis(self, order=GREVLEX, budget=None):
         tag = order.tag()
-        with self._lock:
-            if tag in self._gb_cache:
-                return self._gb_cache[tag]
-            gb = reduced_groebner(self.gens, order, budget)
-            self._gb_cache[tag] = gb
-            return gb
+        if tag not in self._gb_cache:
+            self._gb_cache[tag] = reduced_groebner(self.gens, order, budget)
+        return self._gb_cache[tag]
 
     def reduce(self, poly, order=GREVLEX, budget=None):
         gb = self.groebner_basis(order, budget)
@@ -428,31 +414,25 @@ class Ideal:
         if f.is_constant():
             return self
         names = self.ring.names
-        w = _fresh_name("t", names)
+        w = fresh_name("t", names)
         big = Ring((w,) + names)
         index_map = {i: i + 1 for i in range(len(names))}
         lifted = [map_variables(g, big, index_map) for g in self.gens]
         f_big = map_variables(f, big, index_map)
         lifted.append(big.one() - big.var(0) * f_big)
-        helper = Ideal(big, tuple(lifted))
-        out = helper.eliminate(1, budget)
-        # eliminate() returns a ring with the same names; rebuild on ours
-        back = {i: i for i in range(len(names))}
-        return Ideal(self.ring, tuple(map_variables(g, self.ring, back) for g in out.gens))
+        return Ideal(big, tuple(lifted)).eliminate(1, budget)
 
     def intersect_with(self, other, budget=None):
         if self.ring != other.ring:
             raise RingMismatchError("intersection requires a common ring")
         names = self.ring.names
-        t = _fresh_name("t", names)
+        t = fresh_name("t", names)
         big = Ring((t,) + names)
         index_map = {i: i + 1 for i in range(len(names))}
         tv = big.var(0)
         gens = [tv * map_variables(g, big, index_map) for g in self.gens]
         gens += [(big.one() - tv) * map_variables(g, big, index_map) for g in other.gens]
-        out = Ideal(big, tuple(gens)).eliminate(1, budget)
-        back = {i: i for i in range(len(names))}
-        return Ideal(self.ring, tuple(map_variables(g, self.ring, back) for g in out.gens))
+        return Ideal(big, tuple(gens)).eliminate(1, budget)
 
     # -- dimension -------------------------------------------------------
 

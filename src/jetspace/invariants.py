@@ -26,23 +26,15 @@ from .errors import AgreementError, PreconditionError, RingMismatchError
 from .groebner import Ideal, gcd_poly, reduced_groebner
 from .jets import (
     ContactClause,
+    check_point_on,
+    contact_cell_dim,
     contact_ideal,
-    get_jet_ring,
-    image_dimension,
     jacobian_ideal,
     jet_ideal,
     lambda_sequence,
 )
 from .orders import GREVLEX, Weight
-from .poly import Polynomial, Ring, divide_exact
-
-
-def _fresh_name(base, names):
-    name = base
-    taken = set(names)
-    while name in taken:
-        name = "_" + name
-    return name
+from .poly import Polynomial, Ring, divide_exact, fresh_name
 
 
 @dataclass(frozen=True)
@@ -73,7 +65,7 @@ def tangent_cone(I, point=None, budget=None):
     if len(gens) == 1:
         forms = [gens[0].initial_form()]
     else:
-        h = _fresh_name("h", base.names)
+        h = fresh_name("h", base.names)
         hring = Ring((h,) + base.names)
         homogenized = []
         for g in gens:
@@ -144,12 +136,11 @@ def check_mld_hat_equals_n(I, point, cross_check=True, e_max=3, budget=None, job
     not principal) the jet test.  For n >= 2 a disagreement between the
     two routes is an internal error and raises AgreementError.  For
     curves the cone test is not a valid criterion, so the jet route wins
-    and a note records any divergence.
+    and a note records any divergence.  `jobs` is accepted for
+    compatibility and ignored.
     """
     point = tuple(point)
-    for g in I.gens:
-        if g.evaluate(point) != 0:
-            raise PreconditionError("point does not lie on the variety")
+    check_point_on(I, point)
     n = I.krull_dimension(budget).dimension
     if n < 1:
         raise PreconditionError(f"variety dimension is {n}; need a positive-dimensional variety")
@@ -173,7 +164,7 @@ def check_mld_hat_equals_n(I, point, cross_check=True, e_max=3, budget=None, job
     lambda_report = None
     lambda_verdict = None
     if cross_check or cone_verdict is None:
-        lambda_report = lambda_sequence(I, point, 1, e_max=e_max, budget=budget, jobs=jobs)
+        lambda_report = lambda_sequence(I, point, 1, e_max=e_max, budget=budget)
         row = lambda_report.rows[0]
         if row.converged and row.value is not None:
             lambda_verdict = row.value == 0
@@ -280,24 +271,10 @@ def lct_hat_bound(a, M, on=None, e_max=3, budget=None):
         for m in range(1, M + 1):
             cells = []
             best = None
+            contact = (ContactClause(a, ">=", m),)
             for e in range(e_max + 1):
                 s = max(m - 1, e)
-                level = s + e
-                clauses = [
-                    ContactClause(X, ">=", level + 1),
-                    ContactClause(jac, "==", e),
-                    ContactClause(a, ">=", m),
-                ]
-                closed, excluded = contact_ideal(clauses, level)
-                dim_e = -1
-                for g in excluded:
-                    if g.is_zero():
-                        continue
-                    d = image_dimension(
-                        closed.ideal, closed.jet_ring, s, saturator=g, budget=budget
-                    )
-                    if d > dim_e:
-                        dim_e = d
+                dim_e = contact_cell_dim(X, jac, e, s + e, s, extra=contact, budget=budget)
                 if dim_e < 0:
                     continue
                 codim_e = n * (s + 1) - dim_e

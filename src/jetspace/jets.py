@@ -9,19 +9,20 @@ variables, and the closure of a truncation image is an elimination ideal
 over the trailing block.
 
 Budget discipline: all Groebner work is routed through the budget handed
-in by the caller; this module adds no caps of its own.
+in by the caller; this module adds no caps of its own.  The jet-ring and
+arc-expansion caches are bounded LRU caches, sized far above the working
+set of any single command.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import AgreementError, BudgetExhausted, PreconditionError, RingMismatchError
 from .groebner import Ideal
-from .poly import Polynomial, Ring, map_variables
+from .poly import Polynomial, Ring, fresh_name, map_variables
 
 
 class JetRing:
@@ -55,19 +56,13 @@ class JetRing:
         return f"JetRing({self.base!r}, level={self.level})"
 
 
-_jet_ring_cache = {}
-_expand_cache = {}
-_cache_lock = threading.Lock()
+# entries per cache; the heaviest known command touches a few dozen keys
+_CACHE_SIZE = 1024
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def get_jet_ring(base, level):
-    key = (base.names, level)
-    with _cache_lock:
-        jr = _jet_ring_cache.get(key)
-        if jr is None:
-            jr = JetRing(base, level)
-            _jet_ring_cache[key] = jr
-        return jr
+    return JetRing(base, level)
 
 
 def _series_mul(a, b, m, zero):
@@ -82,6 +77,7 @@ def _series_mul(a, b, m, zero):
     return out
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def t_expand(p, m):
     """Coefficients of t^0..t^m of p evaluated on a truncated arc.
 
@@ -91,11 +87,6 @@ def t_expand(p, m):
     """
     if m < 0:
         raise PreconditionError("truncation level must be non-negative")
-    key = (p, m)
-    with _cache_lock:
-        hit = _expand_cache.get(key)
-    if hit is not None:
-        return hit
     jr = get_jet_ring(p.ring, m)
     big = jr.ring
     zero = big.zero()
@@ -123,10 +114,7 @@ def t_expand(p, m):
         for k in range(m + 1):
             if not series[k].is_zero():
                 total[k] = total[k] + series[k] * coeff
-    result = tuple(total)
-    with _cache_lock:
-        _expand_cache[key] = result
-    return result
+    return tuple(total)
 
 
 def pad_to_jet_ring(poly, jet_ring):
@@ -265,14 +253,6 @@ def jacobian_ideal(I, c):
     return Ideal(I.ring, tuple(minors))
 
 
-def _fresh_over(base_name, names):
-    name = base_name
-    taken = set(names)
-    while name in taken:
-        name = "_" + name
-    return name
-
-
 def image_dimension(closed, jet_ring, image_level, saturator=None, budget=None):
     """Dimension of the closure of the image, in the level-`image_level`
     jet space, of V(closed) minus V(saturator).
@@ -293,7 +273,7 @@ def image_dimension(closed, jet_ring, image_level, saturator=None, budget=None):
         return closed.krull_dimension(budget).dimension
 
     names = jet_ring.ring.names
-    w = _fresh_over("w", names)
+    w = fresh_name("w", names)
     perm = Ring((w,) + names[prefix:] + names[:prefix])
     index_map = {}
     for i in range(prefix):
@@ -307,37 +287,51 @@ def image_dimension(closed, jet_ring, image_level, saturator=None, budget=None):
     return shadow.krull_dimension(budget).dimension
 
 
+def check_point_on(I, point):
+    """Raise PreconditionError unless every generator of I vanishes at `point`."""
+    if any(g.evaluate(point) != 0 for g in I.gens):
+        raise PreconditionError("point does not lie on the variety")
+
+
+def contact_cell_dim(X, jac, e, level, image_level, extra=(), point=None, budget=None):
+    """Dimension of the level-`image_level` image of one Jacobian-contact
+    cell of X.
+
+    The cell is the locus, at jet level `level`, of jets that lift to
+    level + 1 on X, meet the Jacobian ideal `jac` with contact exactly e,
+    and satisfy the `extra` contact clauses (through `point` when given).
+    Deeper-than-e Jacobian contact is removed by saturation, one excluded
+    coefficient at a time, and the image is truncated by elimination.
+    Returns -1 when the cell is empty.
+    """
+    clauses = [ContactClause(X, ">=", level + 1), ContactClause(jac, "==", e), *extra]
+    closed, excluded = contact_ideal(clauses, level, point=point)
+    best = -1
+    for g in excluded:
+        if not g.is_zero():
+            d = image_dimension(
+                closed.ideal, closed.jet_ring, image_level, saturator=g, budget=budget
+            )
+            best = max(best, d)
+    return best
+
+
 def liftable_image_dim(I, point, m, e, jacobian=None, budget=None, extra_levels=0):
     """Dimension of the level-m image of jets through `point` that lift
     far enough and meet the Jacobian ideal with contact exactly e.
 
-    Builds the locus at working level max(m, e) + e (+ extra_levels, for
-    stability testing), removes deeper-than-e Jacobian contact by
-    saturation, truncates to level m by elimination, and measures the
-    result.  Returns -1 when the locus is empty.
+    Builds the cell at working level max(m, e) + e (+ extra_levels, for
+    stability testing) and measures its level-m image; see
+    contact_cell_dim.  Returns -1 when the locus is empty.
     """
     if m < 1:
         raise PreconditionError("jet level m must be at least 1")
     if e < 0:
         raise PreconditionError("contact order e must be non-negative")
-    for g in I.gens:
-        if g.evaluate(point) != 0:
-            raise PreconditionError("point does not lie on the variety")
+    check_point_on(I, point)
     jac = jacobian if jacobian is not None else jacobian_ideal(I, len(I.gens))
     level = max(m, e) + e + extra_levels
-    clauses = [
-        ContactClause(I, ">=", level + 1),
-        ContactClause(jac, "==", e),
-    ]
-    closed, excluded = contact_ideal(clauses, level, point=point)
-    best = -1
-    for g in excluded:
-        if g.is_zero():
-            continue
-        d = image_dimension(closed.ideal, closed.jet_ring, m, saturator=g, budget=budget)
-        if d > best:
-            best = d
-    return best
+    return contact_cell_dim(I, jac, e, level, m, point=point, budget=budget)
 
 
 @dataclass(frozen=True)
@@ -370,17 +364,15 @@ def lambda_sequence(I, point, m_max, e_max=3, budget=None, jobs=1):
 
     Each row scans Jacobian-contact cells e = 0..e_max, stops early when a
     cell reaches the ceiling m*n, and otherwise probes e_max + 1 to decide
-    convergence.  Rows are independent and can run on worker threads; the
-    report is assembled in level order either way.
+    convergence.  Rows run serially in level order; `jobs` is accepted for
+    compatibility and does not change the work or the result.
     """
     if m_max < 1:
         raise PreconditionError("m_max must be at least 1")
     if e_max < 0:
         raise PreconditionError("e_max must be non-negative")
     point = tuple(point)
-    for g in I.gens:
-        if g.evaluate(point) != 0:
-            raise PreconditionError("point does not lie on the variety")
+    check_point_on(I, point)
     n = I.krull_dimension(budget).dimension
     if n < 1:
         raise PreconditionError(f"variety dimension is {n}; need a positive-dimensional variety")
@@ -435,12 +427,7 @@ def lambda_sequence(I, point, m_max, e_max=3, budget=None, jobs=1):
         value = target - best if best >= 0 else None
         return LambdaRow(m, value, tuple(cells), converged, note)
 
-    levels = list(range(1, m_max + 1))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = tuple(pool.map(row, levels))
-    else:
-        rows = tuple(row(m) for m in levels)
+    rows = tuple(row(m) for m in range(1, m_max + 1))
 
     budget_hit = any(r.note.startswith("budget exhausted") for r in rows)
     stabilized = None

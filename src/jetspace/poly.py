@@ -130,9 +130,6 @@ class Polynomial:
     def is_constant(self):
         return all(sum(e) == 0 for e in self.terms)
 
-    def is_monomial(self):
-        return len(self.terms) == 1
-
     def constant_value(self):
         """The value of a constant polynomial as a Fraction."""
         if not self.is_constant():
@@ -178,10 +175,6 @@ class Polynomial:
 
     def leading_coefficient(self, order=GREVLEX):
         return self.terms[self.leading_monomial(order)]
-
-    def leading_term(self, order=GREVLEX):
-        m = self.leading_monomial(order)
-        return Polynomial(self.ring, {m: self.terms[m]})
 
     def monic(self, order=GREVLEX):
         """Divide by the leading coefficient; zero stays zero."""
@@ -310,25 +303,7 @@ class Polynomial:
         point = [_coerce(c) for c in point]
         if len(point) != self.ring.ngens:
             raise PreconditionError("point arity does not match ring")
-        ring = self.ring
-        # cache (x_i + c_i)^k as needed
-        shifted = [ring.var(i) + point[i] for i in range(ring.ngens)]
-        powers = [{0: ring.one()} for _ in range(ring.ngens)]
-
-        def power(i, k):
-            cache = powers[i]
-            if k not in cache:
-                cache[k] = power(i, k - 1) * shifted[i]
-            return cache[k]
-
-        total = ring.zero()
-        for e, c in self.terms.items():
-            term = ring.constant(c)
-            for i, exp in enumerate(e):
-                if exp:
-                    term = term * power(i, exp)
-            total = total + term
-        return total
+        return self.substitute({i: self.ring.var(i) + c for i, c in enumerate(point)})
 
     def set_vars_zero(self, indices):
         """Substitute 0 for the given variables (ring unchanged)."""
@@ -416,6 +391,14 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{self}>"
+
+
+def fresh_name(base, taken):
+    """`base` with underscores prepended until it is not among `taken`."""
+    taken = set(taken)
+    while base in taken:
+        base = "_" + base
+    return base
 
 
 def map_variables(poly, new_ring, index_map):

@@ -160,6 +160,20 @@ def test_hard_budget_error_is_exit_4(tmp_path, capsys):
     assert "status: budget-exhausted" in out
 
 
+def test_agreement_error_is_exit_5(tmp_path, capsys):
+    # cone x^2 has no reduced component, yet every 1-jet on x = 0 lifts:
+    # the two routes disagree on a surface, which the CLI must report
+    src = tmp_path / "disagree.jsp"
+    src.write_text(
+        "ring x, y, z\nideal X = x^2 + y^4 + z^4\npoint 0, 0, 0\ncommand check-main\n"
+    )
+    code, out = run_cli(capsys, "run", str(src))
+    assert code == 5
+    lines = out.splitlines()
+    assert lines[:2] == ["== jetspace report ==", "status: agreement-error"]
+    assert lines[2].startswith("error: tangent-cone route says False but jet route says True")
+
+
 @pytest.mark.parametrize(
     "text",
     [
