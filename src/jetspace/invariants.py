@@ -240,6 +240,10 @@ def lct_hat_bound(a, M, on=None, e_max=3, budget=None):
     Singular ambient (on=X): the same contact condition is intersected
     with the liftable locus of X, split into Jacobian-contact cells, and
     codimension is measured against the expected jet dimension of X.
+    Cell (m, e) sits at working level max(m - 1, e) + e, which never
+    drops as m grows, and its clause ord(a) >= m only gets stronger; so
+    once a cell is empty, e is skipped in every later row (see
+    contact_cell_dim).  Empty cells are left out of `cells` either way.
     """
     if M < 1:
         raise PreconditionError("window M must be at least 1")
@@ -268,14 +272,18 @@ def lct_hat_bound(a, M, on=None, e_max=3, budget=None):
         if n < 1:
             raise PreconditionError(f"ambient variety dimension is {n}")
         jac = jacobian_ideal(X, len(X.gens))
+        dead = set()  # contact orders whose cell was proved empty at a lower row
         for m in range(1, M + 1):
             cells = []
             best = None
             contact = (ContactClause(a, ">=", m),)
             for e in range(e_max + 1):
+                if e in dead:
+                    continue
                 s = max(m - 1, e)
                 dim_e = contact_cell_dim(X, jac, e, s + e, s, extra=contact, budget=budget)
                 if dim_e < 0:
+                    dead.add(e)
                     continue
                 codim_e = n * (s + 1) - dim_e
                 cells.append((e, codim_e))

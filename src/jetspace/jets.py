@@ -303,6 +303,18 @@ def contact_cell_dim(X, jac, e, level, image_level, extra=(), point=None, budget
     Deeper-than-e Jacobian contact is removed by saturation, one excluded
     coefficient at a time, and the image is truncated by elimination.
     Returns -1 when the cell is empty.
+
+    Emptiness is monotone in the level.  Take L' <= level with e <= L'
+    and every `extra` order at most L' + 1.  Truncating a level-`level`
+    jet of the cell to level L' gives a jet of the level-L' cell with the
+    same e, `extra` and `point`: the t^k coefficient of an arc expansion
+    depends only on jet levels <= k, and every clause at level L' reads
+    coefficients k <= L' only (ord X >= L' + 1 reads t^0..t^L', ord jac
+    == e reads t^0..t^e, an extra ord >= c reads t^0..t^(c-1)).  So an
+    empty level-L' cell forces every higher-level cell to be empty: the
+    truncation argument behind the Denef-Loeser lifting lemma.  Emptiness
+    is a property of the cell alone; `image_level` only sets where its
+    image is measured, and plays no part in it.
     """
     clauses = [ContactClause(X, ">=", level + 1), ContactClause(jac, "==", e), *extra]
     closed, excluded = contact_ideal(clauses, level, point=point)
@@ -366,6 +378,12 @@ def lambda_sequence(I, point, m_max, e_max=3, budget=None, jobs=1):
     cell reaches the ceiling m*n, and otherwise probes e_max + 1 to decide
     convergence.  Rows run serially in level order; `jobs` is accepted for
     compatibility and does not change the work or the result.
+
+    Dead contact orders: once a computed cell (m, e) is empty, the cell
+    (m', e) is empty for every m' > m (its working level max(m', e) + e
+    is no lower; see contact_cell_dim), so later rows report (e, -1)
+    without computing it.  Only a completed computation marks e dead; a
+    cell interrupted by BudgetExhausted or AgreementError marks nothing.
     """
     if m_max < 1:
         raise PreconditionError("m_max must be at least 1")
@@ -379,13 +397,19 @@ def lambda_sequence(I, point, m_max, e_max=3, budget=None, jobs=1):
     jac = jacobian_ideal(I, len(I.gens))
     singular_dim = (I + jac).krull_dimension(budget).dimension
 
+    dead = set()  # contact orders whose cell was proved empty at a lower row
+
     def cell(m, e):
+        if e in dead:
+            return -1
         d = liftable_image_dim(I, point, m, e, jacobian=jac, budget=budget)
         if d > m * n:
             raise AgreementError(
                 f"cell (m={m}, e={e}) has dimension {d} > {m * n}; this contradicts "
                 "the fiber-dimension bound and signals a bug"
             )
+        if d == -1:
+            dead.add(e)
         return d
 
     def row(m):

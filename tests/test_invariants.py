@@ -15,7 +15,12 @@ from jetspace.invariants import (
     ord_blowup_origin,
     tangent_cone,
 )
-from jetspace.jets import lambda_sequence
+from jetspace.jets import (
+    ContactClause,
+    contact_cell_dim,
+    jacobian_ideal,
+    lambda_sequence,
+)
 from jetspace.parser import parse_polynomial
 from jetspace.poly import Ring
 
@@ -277,6 +282,24 @@ def test_lct_on_singular_ambient_runs_and_is_deterministic():
     for row in t1.rows:
         if row.codim is not None:
             assert row.cells
+
+
+def test_lct_on_singular_ambient_skipped_cells_match_direct_computation():
+    # an empty cell (m, e) is skipped in later rows; recompute every cell
+    a = ideal(R2, "x", "y")
+    X = ideal(R2, "x^2 - y^3")
+    jac = jacobian_ideal(X, 1)
+    table = lct_hat_bound(a, 2, on=X)
+    for row in table.rows:
+        m = row.m
+        expected = []
+        for e in range(4):
+            s = max(m - 1, e)
+            d = contact_cell_dim(X, jac, e, s + e, s, extra=(ContactClause(a, ">=", m),))
+            if d != -1:
+                expected.append((e, (s + 1) - d))  # the cusp is a curve: n = 1
+        # empty cells are absent, every other cell carries its direct codim
+        assert row.cells == tuple(expected)
 
 
 def test_mld_bound_smooth_plane():

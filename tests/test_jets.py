@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+import jetspace.jets as jets
 from jetspace.errors import BudgetExhausted, PreconditionError
 from jetspace.groebner import Budget, Ideal
 from jetspace.jets import (
     ContactClause,
     JetRing,
+    contact_cell_dim,
     contact_ideal,
     get_jet_ring,
     image_dimension,
@@ -412,3 +414,81 @@ def test_lambda_early_stop_keeps_cells_short():
     # the node converges at e = 1; the row must not probe past it
     report = lambda_sequence(ideal(R2, "x*y"), (0, 0), 1, e_max=3)
     assert report.rows[0].cells == ((0, -1), (1, 1))
+
+
+# Dead contact orders: a cell proved empty in one lambda row is reported
+# as (e, -1) in every later row without being computed again.
+
+
+@pytest.mark.parametrize(
+    "text, m_max, e_max",
+    [("x^2 - y^3", 4, 3), ("x^3 - y^4", 2, 4)],
+    ids=["cusp", "E6"],
+)
+def test_lambda_skipped_cells_match_direct_computation(text, m_max, e_max):
+    I = ideal(R2, text)
+    report = lambda_sequence(I, (0, 0), m_max, e_max=e_max)
+    for row in report.rows:
+        assert row.cells
+        for e, d in row.cells:
+            assert liftable_image_dim(I, (0, 0), row.m, e) == d, (row.m, e)
+
+
+def test_lambda_computes_each_empty_cell_once(monkeypatch):
+    calls = []
+    real = jets.liftable_image_dim
+
+    def counting(I, point, m, e, **kwargs):
+        calls.append((m, e))
+        return real(I, point, m, e, **kwargs)
+
+    monkeypatch.setattr(jets, "liftable_image_dim", counting)
+    cusp = lambda_sequence(ideal(R2, "x^2 - y^3"), (0, 0), 5, e_max=3)
+    assert len(calls) == 9
+    assert [r.value for r in cusp.rows] == [1] * 5
+    assert all(r.converged for r in cusp.rows)
+    for row in cusp.rows:
+        assert [e for e, _ in row.cells] == [0, 1, 2, 3, 4]
+    assert cusp.stabilized == 1
+
+    calls.clear()
+    lambda_sequence(ideal(R2, "x^3 - y^4"), (0, 0), 3, e_max=4)
+    assert len(calls) == 6
+
+
+def test_lambda_interrupted_cell_is_not_marked_dead(monkeypatch):
+    calls = []
+
+    def stub(I, point, m, e, **kwargs):
+        calls.append((m, e))
+        if (m, e) == (1, 2):
+            raise BudgetExhausted("stub budget stop")
+        return -1
+
+    monkeypatch.setattr(jets, "liftable_image_dim", stub)
+    report = lambda_sequence(ideal(R2, "x^2 - y^3"), (0, 0), 2, e_max=3)
+    assert report.rows[0].note == "budget exhausted: stub budget stop"
+    assert report.rows[0].cells == ((0, -1), (1, -1))
+    assert (2, 2) in calls
+    assert (2, 0) not in calls and (2, 1) not in calls
+    assert report.rows[1].cells == ((0, -1), (1, -1), (2, -1), (3, -1), (4, -1))
+
+
+@pytest.mark.parametrize(
+    "ring, text",
+    [
+        (R2, "x^2 - y^3"),
+        (R2, "x^3 - y^4"),
+        (R2, "x*y"),
+        (Ring(("x", "y", "z")), "x^2 + y^2 + z^3"),
+    ],
+    ids=["cusp", "E6", "node", "A2-surface"],
+)
+def test_contact_cell_emptiness_is_monotone_in_level(ring, text):
+    X = ideal(ring, text)
+    jac = jacobian_ideal(X, 1)
+    origin = (0,) * ring.ngens
+    for e in range(4):
+        for L in range(max(e, 1), e + 4):
+            if contact_cell_dim(X, jac, e, L, 1, point=origin) == -1:
+                assert contact_cell_dim(X, jac, e, L + 1, 1, point=origin) == -1, (e, L)
