@@ -7,9 +7,24 @@ tail reduction at the end.  Output is always the reduced Groebner basis,
 which is unique per (ideal, order), so results are reproducible byte for
 byte no matter how the computation was scheduled.
 
-Polynomials are handled internally as lists of (sort_key, exponents,
-coefficient) kept in descending key order; merging two such lists replaces
-dictionary arithmetic in the inner loop.
+The inner loop runs on integers only, after Bachmann and Schoenemann,
+"Monomial representations for Groebner bases computations" (ISSAC 1998):
+
+- A monomial is one packed int with a field per variable and a field for
+  the total degree, each topped by a guard bit.  Multiplying monomials is
+  adding ints, and "a divides b" is one guard-bit test.
+- A term's sort key is the integer -w.e, with w from the order's
+  weights(); since the key is linear, a shifted term's key is a sum.
+- Coefficients are ints.  Basis elements are primitive with a positive
+  leading coefficient, and reduction is fraction-free: a step scales the
+  work polynomial by the reducer's leading coefficient over a gcd instead
+  of dividing.  Pair selection and the criteria read monomials only, so
+  the run visits the leading monomials a monic rational engine would, and
+  each output element is made monic over Q at the end.
+
+A polynomial is a list of (key, monomial, coefficient) terms in
+ascending key order, so the leading term comes first; merging two such
+lists by bisection replaces dictionary arithmetic in the inner loop.
 
 Budgets: every basis computation counts selected S-pairs and watches term
 degrees.  Exceeding either cap raises BudgetExhausted instead of returning
@@ -18,8 +33,12 @@ a partial basis.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import BudgetExhausted, PreconditionError, RingMismatchError
 from .orders import GREVLEX, Block
@@ -38,109 +57,178 @@ DEFAULT_BUDGET = Budget()
 
 
 # ---------------------------------------------------------------------
-# internal polynomial representation: list[(key, exps, coeff)] sorted by
-# key, descending; no zero coefficients
+# monomials packed into ints, with linear order keys
 # ---------------------------------------------------------------------
 
 
-def _to_internal(poly, order):
-    items = [(order.key(e), e, c) for e, c in poly.terms.items()]
-    items.sort(key=lambda t: t[0], reverse=True)
+class _Monomials:
+    """Packed monomials in `nvars` variables of degree at most
+    `max_degree`, keyed by `order`.
+
+    A field holds 0..2*max_degree, room for the lcm of two such
+    monomials.  The degree field sits above the variable fields, so a
+    sum of packed monomials carries its own total degree.
+    """
+
+    def __init__(self, order, nvars, max_degree):
+        width = (2 * max_degree + 1).bit_length() + 1
+        guard = 1 << (width - 1)
+        self.width = width
+        self.offsets = tuple(i * width for i in range(nvars))
+        self.degree_offset = nvars * width
+        self.field = guard - 1
+        self.units = sum(1 << o for o in self.offsets)
+        self.guards = self.units * guard | (guard << self.degree_offset)
+        self.var_values = self.units * self.field
+        self.top = self.offsets[-1] if nvars else 0
+        # negated, so keys ascend as monomials descend and bisect can
+        # search a term list
+        self.weights = tuple(-w for w in order.weights(nvars, 2 * max_degree))
+
+    def pack(self, exps):
+        m = sum(e << o for e, o in zip(exps, self.offsets))
+        return m | (sum(exps) << self.degree_offset)
+
+    def unpack(self, m):
+        field = self.field
+        return tuple((m >> o) & field for o in self.offsets)
+
+    def key(self, m):
+        return sum(w * e for w, e in zip(self.weights, self.unpack(m)))
+
+    def lcm(self, a, b):
+        guards = self.guards
+        a_ge_b = ((a | guards) - b) & guards
+        take_a = a_ge_b - (a_ge_b >> (self.width - 1))
+        v = ((a & take_a) | (b & ~take_a)) & self.var_values
+        # one product sums the variable fields into the top one
+        degree = ((v * self.units) >> self.top) & self.field
+        return v | (degree << self.degree_offset)
+
+
+@lru_cache(maxsize=64)
+def _monomials(order, nvars, max_degree):
+    return _Monomials(order, nvars, max_degree)
+
+
+# ---------------------------------------------------------------------
+# internal polynomials: list[(key, monomial, coefficient)] sorted by key,
+# ascending, so largest monomial first; no zero coefficients
+# ---------------------------------------------------------------------
+
+_KEY = itemgetter(0)
+
+
+def _terms(poly, mono):
+    """poly's terms, rational coefficients kept."""
+    weights = mono.weights
+    items = [
+        (sum(w * e for w, e in zip(weights, exps)), mono.pack(exps), c)
+        for exps, c in poly.terms.items()
+    ]
+    items.sort(key=_KEY)
     return items
 
 
-def _from_internal(ring, ip):
-    return Polynomial(ring, {e: c for _, e, c in ip})
+def _integral(terms):
+    """(den * terms, den) with den the least common denominator."""
+    den = lcm(*(c.denominator for _, _, c in terms))
+    return [(k, m, c.numerator * (den // c.denominator)) for k, m, c in terms], den
 
 
-def _divides(a, b):
-    """Does monomial a divide monomial b?"""
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
-def _emax(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
-
-
-def _is_coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
-def _shift_scaled(ip, shift, scale, order, max_degree):
-    """scale * x^shift * ip, still sorted descending."""
-    out = []
-    if all(s == 0 for s in shift):
-        for k, e, c in ip:
-            out.append((k, e, c * scale))
-        return out
-    for _, e, c in ip:
-        ne = tuple(x + y for x, y in zip(e, shift))
-        if sum(ne) > max_degree:
-            raise BudgetExhausted(
-                f"term degree {sum(ne)} exceeds cap {max_degree}",
-                degree=sum(ne),
-            )
-        out.append((order.key(ne), ne, c * scale))
-    return out
-
-
-def _merge_sub(f, g):
-    """f - g for two internal polys (both sorted descending)."""
-    out = []
-    i = j = 0
-    nf, ng = len(f), len(g)
-    while i < nf and j < ng:
-        kf, kg = f[i][0], g[j][0]
-        if kf > kg:
-            out.append(f[i])
-            i += 1
-        elif kf < kg:
-            k, e, c = g[j]
-            out.append((k, e, -c))
-            j += 1
-        else:
-            c = f[i][2] - g[j][2]
-            if c:
-                out.append((f[i][0], f[i][1], c))
-            i += 1
-            j += 1
-    out.extend(f[i:])
-    for k, e, c in g[j:]:
-        out.append((k, e, -c))
-    return out
-
-
-def _normal_form_ip(work, basis, order, max_degree):
-    """Full normal form of `work` against the (monic) basis entries.
-
-    basis entries are (lm_exps, lm_key, ip).  Returns a new internal poly.
-    """
-    result = []
-    while work:
-        key, exps, coeff = work[0]
-        reducer = None
-        for lm_e, _, rip in basis:
-            if _divides(lm_e, exps):
-                reducer = rip
-                break
-        if reducer is None:
-            result.append(work[0])
-            work = work[1:]
-            continue
-        shift = tuple(a - b for a, b in zip(exps, reducer[0][1]))
-        scaled = _shift_scaled(reducer, shift, coeff, order, max_degree)
-        work = _merge_sub(work, scaled)
-    return result
-
-
-def _monic_ip(ip):
-    lc = ip[0][2]
-    if lc == 1:
+def _primitive(ip):
+    """ip divided by its content, with a positive leading coefficient."""
+    g = gcd(*(c for _, _, c in ip))
+    if ip[0][2] < 0:
+        g = -g
+    if g == 1:
         return ip
-    return [(k, e, c / lc) for k, e, c in ip]
+    return [(k, m, c // g) for k, m, c in ip]
+
+
+def _reducer(ip, mono):
+    """Basis entry (leading monomial, largest term degree, ip)."""
+    off = mono.degree_offset
+    return (ip[0][1], max(m >> off for _, m, _ in ip), ip)
+
+
+def _check_shift(entry, shift, cap, mono):
+    """Raise unless every term of x^shift * entry stays within `cap`.
+
+    Cheap test first; the rescan names the first term over the cap.
+    """
+    off = mono.degree_offset
+    sdeg = shift >> off
+    if sdeg and entry[1] + sdeg > cap:
+        for _, m, _ in entry[2]:
+            degree = (m >> off) + sdeg
+            if degree > cap:
+                raise BudgetExhausted(
+                    f"term degree {degree} exceeds cap {cap}", degree=degree
+                )
+
+
+def _combine(f, i, a, g, ks, shift, b):
+    """a * f[i:] - b * x^shift * g[1:], where ks is the key of x^shift.
+
+    The leading term of g is left out: callers pick a and b so that it
+    cancels.  Each shifted term of g is placed by bisection, and the run
+    of f before it is copied as one slice.
+    """
+    out = []
+    nf = len(f)
+    for kg, mg, cg in g[1:]:
+        kg += ks
+        j = bisect_left(f, kg, i, nf, key=_KEY)
+        if j > i:
+            out += f[i:j] if a == 1 else [(k, m, a * c) for k, m, c in f[i:j]]
+        if j < nf and f[j][0] == kg:
+            c = a * f[j][2] - b * cg
+            if c:
+                out.append((kg, f[j][1], c))
+            i = j + 1
+        else:
+            out.append((kg, mg + shift, -b * cg))
+            i = j
+    if i < nf:
+        out += f[i:] if a == 1 else [(k, m, a * c) for k, m, c in f[i:]]
+    return out
+
+
+def _normal_form_ip(work, basis, mono, max_degree):
+    """Full normal form of `work` against the basis entries, fraction-free.
+
+    Returns (remainder, scale) with scale a positive int and remainder
+    equal to scale times the normal form over Q.
+    """
+    guards = mono.guards
+    done = []  # (key, monomial, coefficient, scale when emitted)
+    scale = 1
+    i = 0
+    while i < len(work):
+        key, m, c = work[i]
+        probe = m | guards
+        for entry in basis:
+            if (probe - entry[0]) & guards == guards:
+                break
+        else:
+            done.append((key, m, c, scale))
+            i += 1
+            continue
+        reducer = entry[2]
+        lk, lm, lc = reducer[0]
+        shift = m - lm
+        _check_shift(entry, shift, max_degree, mono)
+        g = gcd(c, lc)
+        a = lc // g
+        scale *= a
+        work = _combine(work, i + 1, a, reducer, key - lk, shift, c // g)
+        i = 0
+    return [(k, m, c * (scale // at)) for k, m, c, at in done], scale
+
+
+def _to_polynomial(ring, ip, mono, den):
+    return Polynomial(ring, {mono.unpack(m): Fraction(c, den) for _, m, c in ip})
 
 
 def reduced_groebner(gens, order=GREVLEX, budget=None):
@@ -163,114 +251,128 @@ def reduced_groebner(gens, order=GREVLEX, budget=None):
                 degree=g.degree(),
             )
 
-    inputs = [_to_internal(g, order) for g in gens]
-    inputs.sort(key=lambda ip: ([t[0] for t in ip], [t[2] for t in ip]))
+    cap = budget.max_degree
+    mono = _monomials(order, ring.ngens, cap)
+    guards = mono.guards
+    inputs = [_terms(g, mono) for g in gens]
+    # a fixed processing order, whatever order the generators came in
+    inputs.sort(key=lambda ip: ([-t[0] for t in ip], [t[2] for t in ip]))
 
-    basis = []  # (lm_exps, lm_key, ip), insertion order
-    pairs = {}  # (i, j) i<j -> (lcm_key, lcm_exps)
+    basis = []  # reducer entries, insertion order
+    pairs = {}  # (i, j) i<j -> (lcm_key, lcm); smaller lcms have larger keys
     pairs_done = 0
 
+    def divides(a, b):
+        return ((b | guards) - a) & guards == guards
+
     def add_element(ip):
-        """Gebauer-Moeller update with the new (monic) element."""
+        """Gebauer-Moeller update with the new (primitive) element."""
         t = len(basis)
         lm_t = ip[0][1]
 
+        # coprime heads (lcm equal to the product) are dropped first; the
+        # rest sort by lcm
         candidates = []
-        for i in range(t):
-            lcm_e = _emax(basis[i][0], lm_t)
-            candidates.append((order.key(lcm_e), lcm_e, i))
-        candidates.sort(key=lambda x: (x[0], x[2]))
+        for i, (lm_i, _, _) in enumerate(basis):
+            lcm_m = mono.lcm(lm_i, lm_t)
+            if lcm_m != lm_i + lm_t:
+                candidates.append((mono.key(lcm_m), i, lcm_m))
+        candidates.sort(key=lambda c: (-c[0], c[1]))
 
         # keep only pairs whose lcm is not a proper multiple of the lcm of
         # an earlier-kept pair; candidates are scanned in ascending order,
         # so any divisor has already been seen
-        kept = []  # (lcm_key, lcm_exps, i)
-        for lcm_k, lcm_e, i in candidates:
-            if _is_coprime(basis[i][0], lm_t):
+        kept = []  # (lcm_key, i, lcm)
+        for lcm_k, i, lcm_m in candidates:
+            if any(divides(other, lcm_m) for _, _, other in kept):
                 continue
-            if any(_divides(le2, lcm_e) for _, le2, _ in kept):
-                continue
-            kept.append((lcm_k, lcm_e, i))
+            kept.append((lcm_k, i, lcm_m))
 
         # chain criterion against existing pairs
-        for (i, j), (lcm_k, lcm_e) in list(pairs.items()):
+        for (i, j), (lcm_k, lcm_m) in list(pairs.items()):
             if (
-                _divides(lm_t, lcm_e)
-                and _emax(basis[i][0], lm_t) != lcm_e
-                and _emax(basis[j][0], lm_t) != lcm_e
+                divides(lm_t, lcm_m)
+                and mono.lcm(basis[i][0], lm_t) != lcm_m
+                and mono.lcm(basis[j][0], lm_t) != lcm_m
             ):
                 del pairs[(i, j)]
 
-        for lcm_k, lcm_e, i in kept:
-            pairs[(i, t)] = (lcm_k, lcm_e)
-        basis.append((lm_t, ip[0][0], ip))
+        for lcm_k, i, lcm_m in kept:
+            pairs[(i, t)] = (lcm_k, lcm_m)
+        basis.append(_reducer(ip, mono))
 
-    for ip in inputs:
-        nf = _normal_form_ip(ip, basis, order, budget.max_degree)
+    for terms in inputs:
+        nf, _ = _normal_form_ip(_integral(terms)[0], basis, mono, cap)
         if nf:
-            add_element(_monic_ip(nf))
+            add_element(_primitive(nf))
 
     while pairs:
-        sel = min(pairs, key=lambda p: (pairs[p][0], p[0], p[1]))
-        lcm_k, lcm_e = pairs.pop(sel)
+        sel = min(pairs, key=lambda p: (-pairs[p][0], p))
+        lcm_k, lcm_m = pairs.pop(sel)
         pairs_done += 1
         if pairs_done > budget.max_pairs:
             raise BudgetExhausted(
                 f"pair budget {budget.max_pairs} exhausted",
                 pairs_done=pairs_done,
             )
-        if sum(lcm_e) > budget.max_degree:
+        degree = lcm_m >> mono.degree_offset
+        if degree > cap:
             raise BudgetExhausted(
-                f"S-pair degree {sum(lcm_e)} exceeds cap {budget.max_degree}",
+                f"S-pair degree {degree} exceeds cap {cap}",
                 pairs_done=pairs_done,
-                degree=sum(lcm_e),
+                degree=degree,
             )
         i, j = sel
-        fi, fj = basis[i][2], basis[j][2]
-        shift_i = tuple(a - b for a, b in zip(lcm_e, fi[0][1]))
-        shift_j = tuple(a - b for a, b in zip(lcm_e, fj[0][1]))
-        s = _merge_sub(
-            _shift_scaled(fi, shift_i, Fraction(1), order, budget.max_degree),
-            _shift_scaled(fj, shift_j, Fraction(1), order, budget.max_degree),
+        entry_i, entry_j = basis[i], basis[j]
+        fi, fj = entry_i[2], entry_j[2]
+        shift_i, shift_j = lcm_m - fi[0][1], lcm_m - fj[0][1]
+        _check_shift(entry_i, shift_i, cap, mono)
+        _check_shift(entry_j, shift_j, cap, mono)
+        g = gcd(fi[0][2], fj[0][2])
+        ks_i = lcm_k - fi[0][0]
+        head = [(k + ks_i, m + shift_i, c) for k, m, c in fi[1:]]
+        s = _combine(
+            head, 0, fj[0][2] // g, fj, lcm_k - fj[0][0], shift_j, fi[0][2] // g
         )
-        nf = _normal_form_ip(s, basis, order, budget.max_degree)
+        nf, _ = _normal_form_ip(s, basis, mono, cap)
         if nf:
-            add_element(_monic_ip(nf))
+            add_element(_primitive(nf))
 
     # minimalize: drop elements whose lead is divisible by another lead
-    lms = [entry[0] for entry in basis]
-    minimal = []
-    for idx, (lm_e, lm_k, ip) in enumerate(basis):
-        if any(
-            other != idx and _divides(lms[other], lm_e) for other in range(len(basis))
-        ):
-            continue
-        minimal.append((lm_e, lm_k, ip))
+    minimal = [
+        entry
+        for entry in basis
+        if not any(o is not entry and divides(o[0], entry[0]) for o in basis)
+    ]
 
     # interreduce tails; leads are pairwise non-divisible so one pass works
     reduced = []
-    for pos, (lm_e, lm_k, ip) in enumerate(minimal):
+    for pos, entry in enumerate(minimal):
         others = [minimal[q] for q in range(len(minimal)) if q != pos]
-        nf = _normal_form_ip(ip, others, order, budget.max_degree)
-        reduced.append((lm_k, _monic_ip(nf)))
+        nf, _ = _normal_form_ip(entry[2], others, mono, cap)
+        reduced.append(nf)
 
-    reduced.sort(key=lambda t: t[0], reverse=True)
-    return tuple(_from_internal(ring, ip) for _, ip in reduced)
+    reduced.sort(key=lambda ip: ip[0][0])
+    return tuple(_to_polynomial(ring, ip, mono, ip[0][2]) for ip in reduced)
 
 
 def normal_form(poly, basis_polys, order=GREVLEX, budget=None):
-    """Normal form of `poly` modulo a list of polynomials."""
+    """Normal form of `poly` modulo a list of polynomials.
+
+    The remainder is exact over Q: reduction runs on integers and the
+    accumulated scale is divided out at the end.
+    """
     budget = budget or DEFAULT_BUDGET
-    entries = []
-    for g in basis_polys:
-        if g.is_zero():
-            continue
-        gm = g.monic(order)
-        ip = _to_internal(gm, order)
-        entries.append((ip[0][1], ip[0][0], ip))
-    work = _to_internal(poly, order)
-    nf = _normal_form_ip(work, entries, order, budget.max_degree)
-    return _from_internal(poly.ring, nf)
+    polys = [g for g in basis_polys if not g.is_zero()]
+    # the degree cap binds shifted reducers only, so fields must also hold
+    # the input's own terms
+    degrees = [p.degree() for p in polys + [poly] if p.terms]
+    bound = max([budget.max_degree, 0] + degrees)
+    mono = _monomials(order, poly.ring.ngens, bound)
+    entries = [_reducer(_primitive(_integral(_terms(g, mono))[0]), mono) for g in polys]
+    work, den = _integral(_terms(poly, mono))
+    nf, scale = _normal_form_ip(work, entries, mono, budget.max_degree)
+    return _to_polynomial(poly.ring, nf, mono, scale * den)
 
 
 @dataclass(frozen=True)

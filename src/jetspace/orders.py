@@ -1,25 +1,53 @@
-"""Monomial orders as sort keys.
+"""Monomial orders as sort keys and as integer matrices.
 
 Every order exposes key(exps) returning a tuple that sorts ascending, so the
 largest monomial under the order has the largest key.  Orders also expose a
 hashable tag() used to cache Groebner bases per order, and compare(a, b)
 returning -1/0/1 for callers that want a comparator.
 
+Every order here is a matrix order: rows(n) gives integer rows whose dot
+products with an exponent vector, compared lexicographically, rank
+monomials exactly as key() does.  weights(n, degree) folds those rows,
+mixed-radix, into one integer weight vector w, so that on monomials of
+total degree at most `degree` the single integer w.e ranks them as key()
+does.  Because w.e is linear, the weight of a product is the sum of the
+weights; the Groebner kernel relies on that.
+
 Exponent vectors are plain tuples of non-negative ints.  The key functions
-never inspect a ring, so one order object works for any arity.
+never inspect a ring, so one order object works for any arity; rows(n) and
+weights(n, degree) take the arity explicitly.
 """
 
 from __future__ import annotations
 
 
 class TermOrder:
-    """Base class; subclasses implement key() and tag()."""
+    """Base class; subclasses implement key(), rows() and tag()."""
 
     def key(self, exps):
         raise NotImplementedError
 
+    def rows(self, n):
+        """Integer rows, each of length n, of this order's matrix."""
+        raise NotImplementedError
+
     def tag(self):
         raise NotImplementedError
+
+    def weights(self, n, degree):
+        """One integer weight vector ranking monomials of total degree at
+        most `degree` in n variables as key() does.
+
+        Row r is scaled by the product of the radices of the rows after
+        it; a row's radix exceeds the largest difference its dot product
+        can take between two such monomials, so no later row can
+        overturn an earlier one.
+        """
+        weights = [0] * n
+        for row in self.rows(n):
+            radix = (max((0, *row)) - min((0, *row))) * degree + 1
+            weights = [w * radix + r for w, r in zip(weights, row)]
+        return tuple(weights)
 
     def compare(self, a, b):
         ka, kb = self.key(a), self.key(b)
@@ -39,11 +67,18 @@ class TermOrder:
         return hash(self.tag())
 
 
+def _units(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 class Lex(TermOrder):
     """Pure lexicographic: earlier variables dominate."""
 
     def key(self, exps):
         return exps
+
+    def rows(self, n):
+        return _units(n)
 
     def tag(self):
         return ("lex",)
@@ -54,6 +89,9 @@ class GrLex(TermOrder):
 
     def key(self, exps):
         return (sum(exps), exps)
+
+    def rows(self, n):
+        return ((1,) * n,) + _units(n)
 
     def tag(self):
         return ("grlex",)
@@ -68,6 +106,11 @@ class GrevLex(TermOrder):
 
     def key(self, exps):
         return (sum(exps), tuple(-e for e in reversed(exps)))
+
+    def rows(self, n):
+        return ((1,) * n,) + tuple(
+            tuple(-u for u in unit) for unit in reversed(_units(n))
+        )
 
     def tag(self):
         return ("grevlex",)
@@ -98,6 +141,12 @@ class Block(TermOrder):
         tail = exps[self.k :]
         return (GREVLEX.key(head), self.inner.key(tail))
 
+    def rows(self, n):
+        k = min(self.k, n)
+        head = tuple(row + (0,) * (n - k) for row in GREVLEX.rows(k))
+        tail = tuple((0,) * k + row for row in self.inner.rows(n - k))
+        return head + tail
+
     def tag(self):
         return ("block", self.k, self.inner.tag())
 
@@ -121,6 +170,14 @@ class Weight(TermOrder):
             )
         dot = sum(w * e for w, e in zip(self.vector, exps))
         return (dot, self.tiebreak.key(exps))
+
+    def rows(self, n):
+        if n != len(self.vector):
+            raise ValueError(
+                f"weight vector has length {len(self.vector)}, "
+                f"exponent vector has length {n}"
+            )
+        return (self.vector,) + self.tiebreak.rows(n)
 
     def tag(self):
         return ("weight", self.vector, self.tiebreak.tag())

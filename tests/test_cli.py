@@ -1,6 +1,8 @@
 """Input-file grammar, report rendering, exit codes, determinism."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -275,3 +277,22 @@ def test_every_corpus_entry_parses_and_runs(capsys):
         assert code == 0, f"{name} exited {code}"
         assert out.startswith("== jetspace report ==")
         assert "status: ok" in out
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    """`python -m jetspace` prints what `main` prints and exits with its code."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    for argv, expected_code in ((("corpus", "cusp"), 0), (("corpus", "nope"), 2)):
+        code, out = run_cli(capsys, *argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "jetspace", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == code == expected_code
+        assert proc.stdout == out

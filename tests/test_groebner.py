@@ -1,7 +1,9 @@
 """Groebner engine checks: frozen textbook bases, structural properties of
 reduced bases on random input, elimination, saturation, intersection,
-gcd/lcm, dimension against a brute-force oracle, and budget behavior."""
+gcd/lcm, dimension against a brute-force oracle, budget behavior, pinned
+hashes of heavier bases, and sympy as an outside oracle."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -17,9 +19,10 @@ from jetspace.groebner import (
     normal_form,
     reduced_groebner,
 )
-from jetspace.orders import GREVLEX, LEX, Block
+from jetspace.jets import ContactClause, contact_ideal, jacobian_ideal, jet_ideal
+from jetspace.orders import GREVLEX, LEX, Block, Weight
 from jetspace.parser import parse_polynomial
-from jetspace.poly import Polynomial, Ring
+from jetspace.poly import Polynomial, Ring, map_variables
 
 
 def mk(ring, *exprs):
@@ -319,3 +322,154 @@ def test_block_order_gb_agrees_on_elimination():
     gb = reduced_groebner(mk(R3, "y - x^2", "z - x^3"), Block(1))
     xfree = [g for g in gb if all(e[0] == 0 for e in g.terms)]
     assert any(str(g) == "y^3 - z^2" for g in xfree)
+
+
+def test_budget_degree_in_a_reduction_step():
+    # lex: x*z^3 is reduced by x - y^4 - y^3*z^3, whose shifted tail terms
+    # have degrees 7 and 9; no S-pair is involved, and the message names
+    # the first term over the cap, not the largest
+    with pytest.raises(BudgetExhausted) as info:
+        reduced_groebner(
+            mk(R3, "x - y^4 - y^3*z^3", "x*z^3"), LEX, Budget(max_degree=6)
+        )
+    assert str(info.value) == "term degree 7 exceeds cap 6"
+    assert info.value.degree == 7
+    assert info.value.pairs_done is None
+
+
+def test_normal_form_above_the_degree_cap():
+    # the cap binds shifted reducers, not the input: x^70 has no reducer
+    # and passes through, while reducing x^70*y by y - 1 would shift the
+    # reducer to degree 71
+    basis = mk(R2, "2*y - 1/3", "x*y^2 - 3")
+    f = parse_polynomial("x^70 + 3/7*x*y^2 + 1/2*y", R2)
+    for cap in (64, 4):
+        r = normal_form(f, basis, GREVLEX, Budget(max_degree=cap))
+        assert str(r) == "x^70 + 1/84*x + 1/12"
+    with pytest.raises(BudgetExhausted, match=r"^term degree 71 exceeds cap 64$"):
+        normal_form(parse_polynomial("x^70*y", R2), mk(R2, "y - 1"))
+
+
+def test_normal_form_is_the_exact_rational_remainder():
+    # 1/2*x^2 + 2/3*y modulo 3*x - 1/5: x = 1/15, so x^2 -> 1/225
+    r = normal_form(parse_polynomial("1/2*x^2 + 2/3*y", R2), mk(R2, "3*x - 1/5"))
+    assert r == parse_polynomial("2/3*y + 1/450", R2)
+    # not a scalar multiple: normal forms are linear over Q
+    rng = random.Random(5150)
+    for _ in range(30):
+        gb = reduced_groebner([random_poly(rng, R2) for _ in range(2)], GREVLEX)
+        f = random_poly(rng, R2, max_terms=4) * Fraction(rng.randrange(1, 9), 7)
+        c = Fraction(rng.randrange(1, 9), rng.randrange(1, 9))
+        r = normal_form(f, gb)
+        assert normal_form(f * c, gb) == r * c
+        assert Ideal(R2, gb).contains(f - r)
+
+
+# SHA-256 of the newline-joined str() of each reduced basis.  The values
+# were computed with the engine the integer kernel replaced (Fraction
+# coefficients, exponent tuples, tuple sort keys), before the change;
+# reduced bases are unique, so any engine must reproduce them.
+GOLDEN_BASES = {
+    "jets of x^3 - y^4, level 3, grevlex": (
+        55,
+        "8c8c3c5b8fabfef309d21ec0b5c5dd175d65b4f15b662587d95799b8a950f5a2",
+    ),
+    "jets of x^3 - y^4, level 4, grevlex": (
+        115,
+        "e426e97906d0811b70d9b096671bdaf01513018fd2e41f4cd0250a822562c63b",
+    ),
+    "cusp cell (m=5, e=2) at level 7, block elimination of levels 6, 7": (
+        38,
+        "2256b1694f84322bbe8ae8704bff466accfc8b89807d526fea4f7096dd84e21d",
+    ),
+    "tangent-cone weight basis of a space curve": (
+        16,
+        "bf87aefbb4aadd11835cd25cfb3bef2d425b33cf8ca26a5ed8d3ae8b068d4451",
+    ),
+}
+
+
+def golden_basis(name):
+    if name.startswith("jets of x^3 - y^4"):
+        level = int(name.split("level ")[1][0])
+        X = ideal(R2, "x^3 - y^4")
+        return reduced_groebner(jet_ideal(X, level).ideal.gens, GREVLEX)
+    if name.startswith("cusp cell"):
+        # the closed part of the cell, in image_dimension's variable order:
+        # the 4 level-6 and level-7 variables first, then eliminated
+        X = ideal(R2, "x^2 - y^3")
+        jac = jacobian_ideal(X, 1)
+        clauses = [ContactClause(X, ">=", 8), ContactClause(jac, "==", 2)]
+        closed, _ = contact_ideal(clauses, 7, point=(0, 0))
+        names = closed.jet_ring.ring.names
+        perm = Ring(names[12:] + names[:12])
+        index_map = {i: i + 4 if i < 12 else i - 12 for i in range(len(names))}
+        gens = [map_variables(g, perm, index_map) for g in closed.ideal.gens]
+        return reduced_groebner(gens, Block(4, GREVLEX))
+    # homogenized with h first and ordered as invariants.tangent_cone does
+    H = Ring(("h", "x", "y", "z"))
+    gens = []
+    for g in mk(R3, "x*z - y^2 + 2*x^3", "y*z - x^3 + 3*z^4", "z^2 - x^2*y - y^5"):
+        d = g.degree()
+        gens.append(Polynomial(H, {(d - sum(e),) + e: c for e, c in g.terms.items()}))
+    return reduced_groebner(gens, Weight((1, 1, 1, 1), Weight((1, 0, 0, 0), GREVLEX)))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BASES))
+def test_golden_basis_hashes(name):
+    size, digest = GOLDEN_BASES[name]
+    gb = golden_basis(name)
+    assert len(gb) == size
+    assert hashlib.sha256("\n".join(map(str, gb)).encode()).hexdigest() == digest
+
+
+def criterion_6_ideals(count):
+    """Random ideals drawn as acceptance criterion 6 draws them: 1-3
+    generators in x, y, z, each with 1-3 terms of exponents 0..2 per
+    variable, integer coefficients in -3..3 and no constant term."""
+    rng = random.Random(20240817)
+
+    def rand_poly():
+        p = R3.zero()
+        for _ in range(rng.randint(1, 3)):
+            exps = tuple(rng.randint(0, 2) for _ in range(3))
+            if not any(exps):
+                exps = (1, 0, 0)
+            p = p + R3.monomial(exps, Fraction(rng.randint(-3, 3)))
+        return p
+
+    ideals = []
+    while len(ideals) < count:
+        gens = tuple(rand_poly() for _ in range(rng.randint(1, 3)))
+        if not all(g.is_zero() for g in gens):
+            ideals.append(gens)
+    return ideals
+
+
+@pytest.mark.parametrize("order_name, order", [("lex", LEX), ("grevlex", GREVLEX)])
+def test_reduced_basis_matches_sympy(order_name, order):
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols("x y z")
+
+    def to_sympy(p):
+        return sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()},
+            *syms,
+            domain="QQ",
+        )
+
+    def from_sympy(p):
+        return Polynomial(
+            R3, {e: Fraction(int(c.p), int(c.q)) for e, c in p.terms()}
+        ).monic(order)
+
+    for gens in criterion_6_ideals(60):
+        ours = reduced_groebner(gens, order)
+        theirs = sympy.groebner([to_sympy(g) for g in gens if not g.is_zero()],
+                                *syms, order=order_name, domain="QQ")
+        expected = sorted(
+            (from_sympy(p) for p in theirs.polys),
+            key=lambda p: order.key(p.leading_monomial(order)),
+            reverse=True,
+        )
+        assert list(ours) == expected, f"{order_name} basis of {gens}"

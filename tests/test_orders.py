@@ -2,6 +2,9 @@
 order axioms on random exponent vectors."""
 
 import random
+from itertools import product
+
+import pytest
 
 from jetspace.orders import GREVLEX, GRLEX, LEX, Block, GrevLex, Weight
 
@@ -71,10 +74,10 @@ def test_tags_and_equality():
 
 
 def test_weight_arity_mismatch():
-    import pytest
-
     with pytest.raises(ValueError):
         Weight((1, 0)).key((1, 0, 0))
+    with pytest.raises(ValueError):
+        Weight((1, 0)).weights(3, 8)
 
 
 def random_exps(rng, n, cap=6):
@@ -104,3 +107,28 @@ def test_order_axioms_random():
             one = (0, 0, 0)
             if a != one:
                 assert order.compare(a, one) == 1
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        LEX,
+        GRLEX,
+        GREVLEX,
+        Block(2),
+        Block(1, LEX),
+        Weight((2, 0, 1, 3)),
+        Weight((1, 1, 1, 1), Weight((1, 0, 0, 0), GREVLEX)),
+    ],
+    ids=repr,
+)
+def test_linear_weights_sort_like_key(order):
+    """w.e ranks every monomial of degree <= the bound as key() does."""
+    n, bound = 4, 6
+    w = order.weights(n, bound)
+    monomials = [e for e in product(range(bound + 1), repeat=n) if sum(e) <= bound]
+    by_key = sorted(monomials, key=order.key)
+    by_weight = sorted(monomials, key=lambda e: sum(a * b for a, b in zip(w, e)))
+    assert by_weight == by_key
+    # distinct monomials get distinct linear keys
+    assert len({sum(a * b for a, b in zip(w, e)) for e in by_key}) == len(by_key)
