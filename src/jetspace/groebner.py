@@ -15,6 +15,8 @@ The inner loop runs on integers only, after Bachmann and Schoenemann,
   adding ints, and "a divides b" is one guard-bit test.
 - A term's sort key is the integer -w.e, with w from the order's
   weights(); since the key is linear, a shifted term's key is a sum.
+  Pair candidates are filtered by the degree field, which costs nothing
+  to read, so only kept pairs pay for a key; open pairs wait in a heap.
 - Coefficients are ints.  Basis elements are primitive with a positive
   leading coefficient, and reduction is fraction-free: a step scales the
   work polynomial by the reducer's leading coefficient over a gcd instead
@@ -37,6 +39,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -259,8 +262,10 @@ def reduced_groebner(gens, order=GREVLEX, budget=None):
     inputs.sort(key=lambda ip: ([-t[0] for t in ip], [t[2] for t in ip]))
 
     basis = []  # reducer entries, insertion order
-    pairs = {}  # (i, j) i<j -> (lcm_key, lcm); smaller lcms have larger keys
+    pairs = {}  # open pairs: (i, j) i<j -> (lcm_key, lcm); smaller lcms have larger keys
+    queue = []  # heap of (-lcm_key, i, j); entries no longer in `pairs` are skipped
     pairs_done = 0
+    degree_offset = mono.degree_offset
 
     def divides(a, b):
         return ((b | guards) - a) & guards == guards
@@ -271,25 +276,26 @@ def reduced_groebner(gens, order=GREVLEX, budget=None):
         lm_t = ip[0][1]
 
         # coprime heads (lcm equal to the product) are dropped first; the
-        # rest sort by lcm
+        # rest sort by total degree, read off the packed degree field, and
+        # the sort is stable, so ties keep index order
         candidates = []
         for i, (lm_i, _, _) in enumerate(basis):
             lcm_m = mono.lcm(lm_i, lm_t)
             if lcm_m != lm_i + lm_t:
-                candidates.append((mono.key(lcm_m), i, lcm_m))
-        candidates.sort(key=lambda c: (-c[0], c[1]))
+                candidates.append((i, lcm_m))
+        candidates.sort(key=lambda c: c[1] >> degree_offset)
 
-        # keep only pairs whose lcm is not a proper multiple of the lcm of
-        # an earlier-kept pair; candidates are scanned in ascending order,
-        # so any divisor has already been seen
-        kept = []  # (lcm_key, i, lcm)
-        for lcm_k, i, lcm_m in candidates:
-            if any(divides(other, lcm_m) for _, _, other in kept):
+        # keep only pairs whose lcm is not a multiple of the lcm of an
+        # earlier-kept pair; a proper divisor has lower degree, so it has
+        # already been seen, and of equal lcms the lowest index is kept
+        kept = []  # (i, lcm)
+        for i, lcm_m in candidates:
+            if any(divides(other, lcm_m) for _, other in kept):
                 continue
-            kept.append((lcm_k, i, lcm_m))
+            kept.append((i, lcm_m))
 
         # chain criterion against existing pairs
-        for (i, j), (lcm_k, lcm_m) in list(pairs.items()):
+        for (i, j), (_, lcm_m) in list(pairs.items()):
             if (
                 divides(lm_t, lcm_m)
                 and mono.lcm(basis[i][0], lm_t) != lcm_m
@@ -297,8 +303,11 @@ def reduced_groebner(gens, order=GREVLEX, budget=None):
             ):
                 del pairs[(i, j)]
 
-        for lcm_k, i, lcm_m in kept:
+        # order keys are needed for kept pairs only
+        for i, lcm_m in kept:
+            lcm_k = mono.key(lcm_m)
             pairs[(i, t)] = (lcm_k, lcm_m)
+            heappush(queue, (-lcm_k, i, t))
         basis.append(_reducer(ip, mono))
 
     for terms in inputs:
@@ -307,22 +316,24 @@ def reduced_groebner(gens, order=GREVLEX, budget=None):
             add_element(_primitive(nf))
 
     while pairs:
-        sel = min(pairs, key=lambda p: (-pairs[p][0], p))
-        lcm_k, lcm_m = pairs.pop(sel)
+        _, i, j = heappop(queue)
+        got = pairs.pop((i, j), None)
+        if got is None:
+            continue  # deleted by the chain criterion
+        lcm_k, lcm_m = got
         pairs_done += 1
         if pairs_done > budget.max_pairs:
             raise BudgetExhausted(
                 f"pair budget {budget.max_pairs} exhausted",
                 pairs_done=pairs_done,
             )
-        degree = lcm_m >> mono.degree_offset
+        degree = lcm_m >> degree_offset
         if degree > cap:
             raise BudgetExhausted(
                 f"S-pair degree {degree} exceeds cap {cap}",
                 pairs_done=pairs_done,
                 degree=degree,
             )
-        i, j = sel
         entry_i, entry_j = basis[i], basis[j]
         fi, fj = entry_i[2], entry_j[2]
         shift_i, shift_j = lcm_m - fi[0][1], lcm_m - fj[0][1]

@@ -17,8 +17,10 @@ set of any single command.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
 from .errors import AgreementError, BudgetExhausted, PreconditionError, RingMismatchError
 from .groebner import Ideal
@@ -65,15 +67,25 @@ def get_jet_ring(base, level):
     return JetRing(base, level)
 
 
-def _series_mul(a, b, m, zero):
-    out = [zero] * (m + 1)
+def _series_mul(a, b, m):
+    """Truncated product of two arc series of packed monomials.
+
+    A series is m + 1 dicts {packed monomial: int}, one per power of t;
+    multiplying monomials is adding their packed ints.
+    """
+    out = [{} for _ in range(m + 1)]
     for i, ai in enumerate(a):
-        if ai.is_zero():
+        if not ai:
             continue
         for j in range(m + 1 - i):
             bj = b[j]
-            if not bj.is_zero():
-                out[i + j] = out[i + j] + ai * bj
+            if not bj:
+                continue
+            acc = out[i + j]
+            for ma, ca in ai.items():
+                for mb, cb in bj.items():
+                    mm = ma + mb
+                    acc[mm] = acc.get(mm, 0) + ca * cb
     return out
 
 
@@ -84,37 +96,62 @@ def t_expand(p, m):
     Substitutes each base variable x_i by sum_j x_i__j t^j and truncates
     past t^m.  Returns a tuple of m + 1 polynomials in the level-m jet
     ring of p's ring.
+
+    The expansion runs on integers: jet variable (i, j) is the packed
+    monomial 1 << width * jr.index(i, j), and p is scaled to integer
+    coefficients.  A jet monomial from the term x^e spreads e_i over the
+    fields of x_i, so no field exceeds p's largest exponent and `width`
+    is that exponent's bit length.
     """
     if m < 0:
         raise PreconditionError("truncation level must be non-negative")
     jr = get_jet_ring(p.ring, m)
     big = jr.ring
-    zero = big.zero()
-    one_series = [big.one()] + [zero] * m
+    width = max((e for exps in p.terms for e in exps), default=0).bit_length() or 1
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    one_series = [{0: 1}] + [{} for _ in range(m)]
     var_series = [
-        [jr.var(i, j) for j in range(m + 1)] for i in range(p.ring.ngens)
+        [{1 << width * jr.index(i, j): 1} for j in range(m + 1)]
+        for i in range(p.ring.ngens)
     ]
-    power_cache = {}
+    powers = {}
 
     def power(i, k):
         if k == 0:
             return one_series
-        got = power_cache.get((i, k))
+        got = powers.get((i, k))
         if got is None:
-            got = _series_mul(power(i, k - 1), var_series[i], m, zero)
-            power_cache[(i, k)] = got
+            got = _series_mul(power(i, k - 1), var_series[i], m)
+            powers[(i, k)] = got
         return got
 
-    total = [zero] * (m + 1)
-    for exps, coeff in sorted(p.terms.items()):
+    total = [{} for _ in range(m + 1)]
+    for exps, coeff in p.terms.items():
+        scale = coeff.numerator * (den // coeff.denominator)
         series = one_series
         for i, e in enumerate(exps):
             if e:
-                series = _series_mul(series, power(i, e), m, zero)
-        for k in range(m + 1):
-            if not series[k].is_zero():
-                total[k] = total[k] + series[k] * coeff
-    return tuple(total)
+                series = _series_mul(series, power(i, e), m)
+        for acc, part in zip(total, series):
+            for mono, c in part.items():
+                acc[mono] = acc.get(mono, 0) + scale * c
+
+    nvars = big.ngens
+    mask = (1 << width) - 1
+
+    def unpack(mono):
+        exps = [0] * nvars
+        while mono:
+            field = ((mono & -mono).bit_length() - 1) // width
+            shift = field * width
+            exps[field] = (mono >> shift) & mask
+            mono &= ~(mask << shift)
+        return tuple(exps)
+
+    return tuple(
+        Polynomial(big, {unpack(mono): Fraction(c, den) for mono, c in acc.items()})
+        for acc in total
+    )
 
 
 def pad_to_jet_ring(poly, jet_ring):

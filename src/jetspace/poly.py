@@ -303,6 +303,8 @@ class Polynomial:
         point = [_coerce(c) for c in point]
         if len(point) != self.ring.ngens:
             raise PreconditionError("point arity does not match ring")
+        if not any(point):
+            return self
         return self.substitute({i: self.ring.var(i) + c for i, c in enumerate(point)})
 
     def set_vars_zero(self, indices):

@@ -389,11 +389,12 @@ GOLDEN_BASES = {
 }
 
 
-def golden_basis(name):
+def golden_input(name):
+    """(generators, order) of the golden basis called `name`."""
     if name.startswith("jets of x^3 - y^4"):
         level = int(name.split("level ")[1][0])
         X = ideal(R2, "x^3 - y^4")
-        return reduced_groebner(jet_ideal(X, level).ideal.gens, GREVLEX)
+        return jet_ideal(X, level).ideal.gens, GREVLEX
     if name.startswith("cusp cell"):
         # the closed part of the cell, in image_dimension's variable order:
         # the 4 level-6 and level-7 variables first, then eliminated
@@ -405,14 +406,18 @@ def golden_basis(name):
         perm = Ring(names[12:] + names[:12])
         index_map = {i: i + 4 if i < 12 else i - 12 for i in range(len(names))}
         gens = [map_variables(g, perm, index_map) for g in closed.ideal.gens]
-        return reduced_groebner(gens, Block(4, GREVLEX))
+        return gens, Block(4, GREVLEX)
     # homogenized with h first and ordered as invariants.tangent_cone does
     H = Ring(("h", "x", "y", "z"))
     gens = []
     for g in mk(R3, "x*z - y^2 + 2*x^3", "y*z - x^3 + 3*z^4", "z^2 - x^2*y - y^5"):
         d = g.degree()
         gens.append(Polynomial(H, {(d - sum(e),) + e: c for e, c in g.terms.items()}))
-    return reduced_groebner(gens, Weight((1, 1, 1, 1), Weight((1, 0, 0, 0), GREVLEX)))
+    return gens, Weight((1, 1, 1, 1), Weight((1, 0, 0, 0), GREVLEX))
+
+
+def golden_basis(name):
+    return reduced_groebner(*golden_input(name))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_BASES))
@@ -421,6 +426,30 @@ def test_golden_basis_hashes(name):
     gb = golden_basis(name)
     assert len(gb) == size
     assert hashlib.sha256("\n".join(map(str, gb)).encode()).hexdigest() == digest
+
+
+# S-pairs each golden basis selects, counted with the engine that took
+# an order key for every Gebauer-Moeller candidate and chose each pair by
+# a min over all open pairs.  A run that selects the same pairs stops at
+# the same count; max_pairs = N - 1 stops on the N-th selection.
+GOLDEN_PAIRS = {
+    "jets of x^3 - y^4, level 3, grevlex": 198,
+    "jets of x^3 - y^4, level 4, grevlex": 528,
+    "cusp cell (m=5, e=2) at level 7, block elimination of levels 6, 7": 135,
+    "tangent-cone weight basis of a space curve": 33,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PAIRS))
+def test_golden_basis_pair_counts(name):
+    pairs = GOLDEN_PAIRS[name]
+    gens, order = golden_input(name)
+    gb = reduced_groebner(gens, order, Budget(max_pairs=pairs))
+    assert len(gb) == GOLDEN_BASES[name][0]
+    with pytest.raises(BudgetExhausted) as info:
+        reduced_groebner(gens, order, Budget(max_pairs=pairs - 1))
+    assert info.value.pairs_done == pairs
+    assert str(info.value) == f"pair budget {pairs - 1} exhausted"
 
 
 def criterion_6_ideals(count):

@@ -149,6 +149,33 @@ def test_t_expand_matches_direct_substitution():
         assert expected == got
 
 
+def test_t_expand_matches_direct_substitution_wide():
+    # exponents up to 9 cross every packed field width from 1 to 4 bits;
+    # levels up to 8, rational coefficients, and sums whose terms cancel
+    rng = random.Random(31337)
+    names = ("x", "y", "z")
+    ring = Ring(names)
+
+    def rand_poly():
+        p = ring.zero()
+        for _ in range(rng.randint(1, 3)):
+            exps = tuple(rng.choice((0, 0, 1, rng.randint(2, 9))) for _ in names)
+            c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 6))
+            p = p + ring.monomial(exps, c)
+        return p
+
+    for _ in range(40):
+        m = rng.randint(0, 8)
+        jr = get_jet_ring(ring, m)
+        f, h = rand_poly(), rand_poly()
+        g = h - f  # f + g = h: every term of f cancels
+        for p in (f, g, h):
+            expected, got = _expand_on_arc(p, m, rng, jr)
+            assert expected == got
+        for cf, cg, ch in zip(t_expand(f, m), t_expand(g, m), t_expand(h, m)):
+            assert cf + cg == ch
+
+
 def test_t_expand_multiplicative():
     # coefficients of a product = truncated convolution of the factors'
     rng = random.Random(424401)

@@ -155,6 +155,21 @@ def test_translate_random_inverse():
         assert f.translate(pt).translate([-c for c in pt]) == f
 
 
+def test_translate_zero_point_and_arity():
+    x, y = R2.gens()
+    f = x**2 * y - 3 * y + Fraction(1, 2)
+    assert f.translate([0, Fraction(0)]) == f
+    assert R2.zero().translate([0, 0]) == R2.zero()
+    for bad in ([0], [0, 0, 0], [1]):
+        with pytest.raises(PreconditionError):
+            f.translate(bad)
+    with pytest.raises(PreconditionError):
+        f.translate([0.0, 0])
+    # a nonzero point goes through substitution, as before
+    assert f.translate([1, 0]) == (x + 1) ** 2 * y - 3 * y + Fraction(1, 2)
+    assert f.translate([0, -2]) == x**2 * (y - 2) - 3 * (y - 2) + Fraction(1, 2)
+
+
 def test_set_vars_zero():
     x, y, z = R3.gens()
     f = x * y + z**2 + x + 7
