@@ -568,7 +568,7 @@ def main(argv=None):
                 try:
                     with open(args.file, "r", encoding="utf-8") as fh:
                         text = fh.read()
-                except OSError as exc:
+                except (OSError, UnicodeDecodeError) as exc:
                     raise ParseError(f"cannot read input file: {exc}")
             doc = parse_input(text)
             budget = _resolve_budget(doc, args)
@@ -591,10 +591,14 @@ def main(argv=None):
         elapsed = time.perf_counter() - started
         print(f"elapsed: {elapsed:.2f}s", file=sys.stderr)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out_text)
-    else:
-        sys.stdout.write(out_text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out_text)
+            return code
+        except OSError as exc:
+            out_text = _error_report("parse-error", f"cannot write output file: {exc}")
+            code = 2
+    sys.stdout.write(out_text)
     return code
 
 

@@ -1,11 +1,14 @@
 """Groebner bases, ideals, and ideal-theoretic operations.
 
-The engine is Buchberger's algorithm with the Gebauer-Moeller pair
-criteria (coprime-head criterion, minimal-lcm filtering among new pairs,
-and the chain criterion on old pairs), normal pair selection, and full
-tail reduction at the end.  Output is always the reduced Groebner basis,
-which is unique per (ideal, order), so results are reproducible byte for
-byte no matter how the computation was scheduled.
+The engine is Buchberger's algorithm with Gebauer and Moeller's UPDATE
+(J. Symb. Comput. 6, 1988): the coprime-head criterion, minimal-lcm
+filtering among new pairs, the chain criterion on old pairs, and an
+element whose lead a newer lead divides leaving the set that forms new
+pairs (it stays a reducer).  Pairs are selected normally, the elements
+left in that set are the minimal basis, and tails are fully reduced at
+the end.  Output is always the reduced Groebner basis, which is unique
+per (ideal, order), so results are reproducible byte for byte no matter
+how the computation was scheduled.
 
 The inner loop runs on integers only, after Bachmann and Schoenemann,
 "Monomial representations for Groebner bases computations" (ISSAC 1998):
@@ -16,7 +19,8 @@ The inner loop runs on integers only, after Bachmann and Schoenemann,
 - A term's sort key is the integer -w.e, with w from the order's
   weights(); since the key is linear, a shifted term's key is a sum.
   Pair candidates are filtered by the degree field, which costs nothing
-  to read, so only kept pairs pay for a key; open pairs wait in a heap.
+  to read, so only kept pairs pay for a key, read from the nonzero fields
+  of the lcm's shift off the new lead; open pairs wait in a heap.
 - Coefficients are ints.  Basis elements are primitive with a positive
   leading coefficient, and reduction is fraction-free: a step scales the
   work polynomial by the reducer's leading coefficient over a gcd instead
@@ -97,7 +101,16 @@ class _Monomials:
         return tuple((m >> o) & field for o in self.offsets)
 
     def key(self, m):
-        return sum(w * e for w, e in zip(self.weights, self.unpack(m)))
+        """Order key of m, read from its nonzero variable fields only."""
+        v = m & self.var_values
+        width, field, weights = self.width, self.field, self.weights
+        k = 0
+        while v:
+            o = ((v & -v).bit_length() - 1) // width * width
+            e = (v >> o) & field
+            k += weights[o // width] * e
+            v -= e << o
+        return k
 
     def lcm(self, a, b):
         guards = self.guards
@@ -262,50 +275,76 @@ def reduced_groebner(gens, order=GREVLEX, budget=None):
     inputs.sort(key=lambda ip: ([-t[0] for t in ip], [t[2] for t in ip]))
 
     basis = []  # reducer entries, insertion order
+    active = []  # indices of the entries whose lead no later lead divides
     pairs = {}  # open pairs: (i, j) i<j -> (lcm_key, lcm); smaller lcms have larger keys
     queue = []  # heap of (-lcm_key, i, j); entries no longer in `pairs` are skipped
     pairs_done = 0
     degree_offset = mono.degree_offset
-
-    def divides(a, b):
-        return ((b | guards) - a) & guards == guards
+    # for add_element's inlined copy of _Monomials.lcm
+    width1, field = mono.width - 1, mono.field
+    units, top, var_values = mono.units, mono.top, mono.var_values
 
     def add_element(ip):
         """Gebauer-Moeller update with the new (primitive) element."""
+        nonlocal active
         t = len(basis)
-        lm_t = ip[0][1]
+        lk_t, lm_t, _ = ip[0]
 
-        # coprime heads (lcm equal to the product) are dropped first; the
-        # rest sort by total degree, read off the packed degree field, and
-        # the sort is stable, so ties keep index order
+        # one lcm per active element; coprime heads (lcm equal to the
+        # product) give no pair, and elements whose lead lm_t divides
+        # leave `active` but stay reducers with their open pairs
+        lcms = {}
         candidates = []
-        for i, (lm_i, _, _) in enumerate(basis):
-            lcm_m = mono.lcm(lm_i, lm_t)
+        still = []
+        for i in active:
+            lm_i = basis[i][0]
+            ge = ((lm_i | guards) - lm_t) & guards
+            take = ge - (ge >> width1)
+            v = ((lm_i & take) | (lm_t & ~take)) & var_values
+            lcm_m = v | (((v * units) >> top) & field) << degree_offset
+            lcms[i] = lcm_m
             if lcm_m != lm_i + lm_t:
                 candidates.append((i, lcm_m))
-        candidates.sort(key=lambda c: c[1] >> degree_offset)
+            if ge != guards:
+                still.append(i)
+        still.append(t)
+        active = still
 
         # keep only pairs whose lcm is not a multiple of the lcm of an
-        # earlier-kept pair; a proper divisor has lower degree, so it has
-        # already been seen, and of equal lcms the lowest index is kept
+        # earlier-kept pair; the sort is stable and a proper divisor has
+        # lower degree, so it has already been seen, and of equal lcms
+        # the lowest index is kept
+        candidates.sort(key=lambda c: c[1] >> degree_offset)
         kept = []  # (i, lcm)
         for i, lcm_m in candidates:
-            if any(divides(other, lcm_m) for _, other in kept):
+            probe = lcm_m | guards
+            for _, other in kept:
+                if (probe - other) & guards == guards:
+                    break
+            else:
+                kept.append((i, lcm_m))
+
+        # chain criterion against open pairs: an inactive element's lcm
+        # is taken only when lm_t divides the pair's lcm
+        doomed = []
+        for ij, (_, lcm_ij) in pairs.items():
+            if ((lcm_ij | guards) - lm_t) & guards != guards:
                 continue
-            kept.append((i, lcm_m))
+            for i in ij:
+                lcm_m = lcms.get(i)
+                if lcm_m is None:
+                    lcm_m = mono.lcm(basis[i][0], lm_t)
+                if lcm_m == lcm_ij:
+                    break
+            else:
+                doomed.append(ij)
+        for ij in doomed:
+            del pairs[ij]
 
-        # chain criterion against existing pairs
-        for (i, j), (_, lcm_m) in list(pairs.items()):
-            if (
-                divides(lm_t, lcm_m)
-                and mono.lcm(basis[i][0], lm_t) != lcm_m
-                and mono.lcm(basis[j][0], lm_t) != lcm_m
-            ):
-                del pairs[(i, j)]
-
-        # order keys are needed for kept pairs only
+        # keys are linear: key(lcm) = key(lm_t) + key(lcm / lm_t), and
+        # the shift has few nonzero fields
         for i, lcm_m in kept:
-            lcm_k = mono.key(lcm_m)
+            lcm_k = lk_t + mono.key(lcm_m - lm_t)
             pairs[(i, t)] = (lcm_k, lcm_m)
             heappush(queue, (-lcm_k, i, t))
         basis.append(_reducer(ip, mono))
@@ -349,12 +388,9 @@ def reduced_groebner(gens, order=GREVLEX, budget=None):
         if nf:
             add_element(_primitive(nf))
 
-    # minimalize: drop elements whose lead is divisible by another lead
-    minimal = [
-        entry
-        for entry in basis
-        if not any(o is not entry and divides(o[0], entry[0]) for o in basis)
-    ]
+    # every element was reduced against those before it, so no earlier
+    # lead divides its lead: the active elements are the minimal basis
+    minimal = [basis[i] for i in active]
 
     # interreduce tails; leads are pairwise non-divisible so one pass works
     reduced = []
@@ -515,7 +551,11 @@ class Ideal:
         for g in gb:
             if all(all(e[i] == 0 for i in range(k)) for e in g.terms):
                 kept.append(map_variables(g, target, index_map))
-        return Ideal(target, tuple(kept))
+        # the block order restricted to the kept variables is grevlex, so
+        # the kept elements are already their ideal's reduced grevlex basis
+        eliminated = Ideal(target, tuple(kept))
+        eliminated._gb_cache[GREVLEX.tag()] = eliminated.gens
+        return eliminated
 
     def saturate(self, f, budget=None):
         """Saturation: everything that lands in the ideal after enough

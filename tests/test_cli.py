@@ -87,6 +87,24 @@ def test_run_missing_file(capsys):
     assert "cannot read input file" in out
 
 
+def test_run_non_utf8_file(tmp_path, capsys):
+    src = tmp_path / "latin1.jsp"
+    src.write_bytes(b"ring x\xff\n")
+    code, out = run_cli(capsys, "run", str(src))
+    assert code == 2
+    assert "status: parse-error" in out
+    assert "cannot read input file" in out
+
+
+def test_out_flag_unwritable_path(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "report.txt"
+    code, out = run_cli(capsys, "corpus", "cusp-tangent-cone", "--out", str(target))
+    assert code == 2
+    assert out.startswith("== jetspace report ==\nstatus: parse-error\n")
+    assert "cannot write output file" in out
+    assert not target.parent.exists()
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.txt"
     code, out = run_cli(capsys, "corpus", "cusp-tangent-cone", "--out", str(target))

@@ -389,6 +389,15 @@ GOLDEN_BASES = {
 }
 
 
+def cusp_cell():
+    """(closed, excluded) of the cusp cell (m=5, e=2) at level 7, as
+    contact_ideal gives them."""
+    X = ideal(R2, "x^2 - y^3")
+    jac = jacobian_ideal(X, 1)
+    clauses = [ContactClause(X, ">=", 8), ContactClause(jac, "==", 2)]
+    return contact_ideal(clauses, 7, point=(0, 0))
+
+
 def golden_input(name):
     """(generators, order) of the golden basis called `name`."""
     if name.startswith("jets of x^3 - y^4"):
@@ -398,10 +407,7 @@ def golden_input(name):
     if name.startswith("cusp cell"):
         # the closed part of the cell, in image_dimension's variable order:
         # the 4 level-6 and level-7 variables first, then eliminated
-        X = ideal(R2, "x^2 - y^3")
-        jac = jacobian_ideal(X, 1)
-        clauses = [ContactClause(X, ">=", 8), ContactClause(jac, "==", 2)]
-        closed, _ = contact_ideal(clauses, 7, point=(0, 0))
+        closed, _ = cusp_cell()
         names = closed.jet_ring.ring.names
         perm = Ring(names[12:] + names[:12])
         index_map = {i: i + 4 if i < 12 else i - 12 for i in range(len(names))}
@@ -428,10 +434,13 @@ def test_golden_basis_hashes(name):
     assert hashlib.sha256("\n".join(map(str, gb)).encode()).hexdigest() == digest
 
 
-# S-pairs each golden basis selects, counted with the engine that took
-# an order key for every Gebauer-Moeller candidate and chose each pair by
-# a min over all open pairs.  A run that selects the same pairs stops at
-# the same count; max_pairs = N - 1 stops on the N-th selection.
+# S-pairs each golden basis selects, first counted with the engine that
+# took an order key for every Gebauer-Moeller candidate, chose each pair
+# by a min over all open pairs and formed pairs with every basis element.
+# Dropping elements whose lead a later lead divides from the pair-forming
+# set selects no fewer pairs on these four.  A run that selects the same
+# pairs stops at the same count; max_pairs = N - 1 stops on the N-th
+# selection.
 GOLDEN_PAIRS = {
     "jets of x^3 - y^4, level 3, grevlex": 198,
     "jets of x^3 - y^4, level 4, grevlex": 528,
@@ -450,6 +459,36 @@ def test_golden_basis_pair_counts(name):
         reduced_groebner(gens, order, Budget(max_pairs=pairs - 1))
     assert info.value.pairs_done == pairs
     assert str(info.value) == f"pair budget {pairs - 1} exhausted"
+
+
+# S-pairs selected on the cusp cell once each nonzero excluded coefficient
+# g adds its saturation generator 1 - w*g, in image_dimension's variable
+# order (w, the level-6 and level-7 variables, then the rest) with the
+# first five eliminated.  Here dropping elements whose lead a later lead
+# divides saves pairs: the engine that formed pairs with every basis
+# element selected 1653 and 512.
+SATURATED_CUSP_PAIRS = (1573, 442)
+
+
+def test_saturated_cusp_cell_pair_counts():
+    closed, excluded = cusp_cell()
+    names = closed.jet_ring.ring.names
+    perm = Ring(("w",) + names[12:] + names[:12])
+    index_map = {i: i + 5 if i < 12 else i - 11 for i in range(len(names))}
+    gens = [map_variables(g, perm, index_map) for g in closed.ideal.gens]
+    saturators = [
+        perm.one() - perm.var(0) * map_variables(g, perm, index_map)
+        for g in excluded
+        if not g.is_zero()
+    ]
+    assert len(saturators) == len(SATURATED_CUSP_PAIRS)
+    order = Block(5, GREVLEX)
+    for saturator, pairs in zip(saturators, SATURATED_CUSP_PAIRS):
+        gb = reduced_groebner(gens + [saturator], order, Budget(max_pairs=pairs))
+        assert [str(g) for g in gb] == ["1"]  # the cell is empty
+        with pytest.raises(BudgetExhausted) as info:
+            reduced_groebner(gens + [saturator], order, Budget(max_pairs=pairs - 1))
+        assert info.value.pairs_done == pairs
 
 
 def criterion_6_ideals(count):
@@ -502,3 +541,15 @@ def test_reduced_basis_matches_sympy(order_name, order):
             reverse=True,
         )
         assert list(ours) == expected, f"{order_name} basis of {gens}"
+
+
+def test_eliminated_ideal_keeps_its_grevlex_basis():
+    """eliminate stores the kept block-order elements as the grevlex basis
+    of the eliminated ideal; they must equal a fresh grevlex run."""
+    for gens in criterion_6_ideals(30):
+        I = Ideal(R3, gens)
+        for k in range(R3.ngens + 1):
+            J = I.eliminate(k)
+            if 0 < k < R3.ngens:
+                assert GREVLEX.tag() in J._gb_cache
+            assert J.groebner_basis() == reduced_groebner(J.gens, GREVLEX), (gens, k)

@@ -1,11 +1,12 @@
 """Tangent cones, the two-route discrepancy test, threshold tables."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from jetspace.errors import PreconditionError
-from jetspace.groebner import Ideal
+from jetspace.groebner import Ideal, gcd_poly, lcm_poly
 from jetspace.invariants import (
     check_mld_hat_equals_n,
     has_multiplicity_one_factor,
@@ -22,7 +23,7 @@ from jetspace.jets import (
     lambda_sequence,
 )
 from jetspace.parser import parse_polynomial
-from jetspace.poly import Ring
+from jetspace.poly import Polynomial, Ring
 
 
 R2 = Ring(("x", "y"))
@@ -115,8 +116,6 @@ def test_multiplicity_one_pure_power():
 
 
 def test_multiplicity_one_structured_random():
-    import random
-
     rng = random.Random(31337)
     for _ in range(30):
         a = rng.randint(1, 3)
@@ -381,3 +380,75 @@ def test_mld_hat_from_lambda():
     short = lambda_sequence(ideal(R2, "x*y"), ORIGIN2, 1, e_max=2)
     with pytest.raises(PreconditionError):
         mld_hat_from_lambda(short)
+
+
+def _sympy_bridge(sympy, ring):
+    """(to_sympy, from_sympy) between jetspace Polynomials in `ring` and
+    sympy expressions in symbols of the same names."""
+    syms = sympy.symbols(ring.names)
+
+    def to_sympy(p):
+        return sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()},
+            *syms,
+            domain="QQ",
+        ).as_expr()
+
+    def from_sympy(expr):
+        p = sympy.Poly(expr, *syms, domain="QQ")
+        return Polynomial(ring, {e: Fraction(int(c.p), int(c.q)) for e, c in p.terms()})
+
+    return to_sympy, from_sympy
+
+
+def _random_factor(rng, ring):
+    """Nonconstant polynomial with 1-3 terms, exponents 0..1, coefficients
+    in -3..3 and a random constant term."""
+    while True:
+        p = ring.constant(rng.randint(-2, 2))
+        for _ in range(rng.randint(1, 3)):
+            exps = tuple(rng.randint(0, 1) for _ in ring.names)
+            p = p + ring.monomial(exps, Fraction(rng.randint(-3, 3)))
+        if not p.is_constant():
+            return p
+
+
+def test_gcd_lcm_match_sympy():
+    """gcd_poly and lcm_poly, which the cone route runs on tangent cones,
+    against sympy.gcd and sympy.lcm on pairs sharing a random factor."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(4040)
+    for ring in (R2, R3):
+        to_sympy, from_sympy = _sympy_bridge(sympy, ring)
+        for _ in range(20):
+            common = _random_factor(rng, ring) ** rng.randint(0, 2)
+            f = common * _random_factor(rng, ring)
+            g = common * _random_factor(rng, ring) ** rng.randint(1, 2)
+            sf, sg = to_sympy(f), to_sympy(g)
+            assert gcd_poly(f, g) == from_sympy(sympy.gcd(sf, sg)).monic(), (f, g)
+            assert lcm_poly(f, g) == from_sympy(sympy.lcm(sf, sg)).monic(), (f, g)
+
+
+def test_multiplicity_one_matches_sympy_sqf():
+    """The verdict and certificate of has_multiplicity_one_factor against
+    sympy's square-free decomposition: the certificate is the product of
+    the multiplicity-1 factors, and the verdict is that it is not 1."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5050)
+    for ring in (R2, R3):
+        to_sympy, from_sympy = _sympy_bridge(sympy, ring)
+        for _ in range(20):
+            f = ring.constant(rng.choice((-2, 1, 3)))
+            for power in (1, 2, 3):
+                for _ in range(rng.randint(0, 1)):
+                    f = f * _random_factor(rng, ring) ** power
+            if f.is_constant():
+                continue
+            verdict, cert = has_multiplicity_one_factor(f)
+            _, factors = sympy.sqf_list(to_sympy(f), *sympy.symbols(ring.names))
+            expected = ring.one()
+            for factor, multiplicity in factors:
+                if multiplicity == 1:
+                    expected = expected * from_sympy(factor)
+            assert cert == expected.monic(), f
+            assert verdict is not expected.is_constant(), f
