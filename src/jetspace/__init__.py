@@ -26,12 +26,11 @@ from .groebner import (
 )
 from .invariants import (
     BlowupResult,
+    BoundTable,
     InvariantReport,
     MldRow,
-    MldTable,
     TangentCone,
     ThresholdRow,
-    ThresholdTable,
     check_mld_hat_equals_n,
     has_multiplicity_one_factor,
     lct_hat_bound,
@@ -66,6 +65,7 @@ __all__ = [
     "AgreementError",
     "Block",
     "BlowupResult",
+    "BoundTable",
     "Budget",
     "BudgetExhausted",
     "ContactClause",
@@ -85,7 +85,6 @@ __all__ = [
     "LambdaRow",
     "Lex",
     "MldRow",
-    "MldTable",
     "ParseError",
     "Polynomial",
     "PreconditionError",
@@ -94,7 +93,6 @@ __all__ = [
     "TangentCone",
     "TermOrder",
     "ThresholdRow",
-    "ThresholdTable",
     "Weight",
     "check_mld_hat_equals_n",
     "contact_ideal",

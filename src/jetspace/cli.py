@@ -11,14 +11,13 @@ Input files are line-oriented:
 
 Exactly one `ring` and one `command` line are required.  Commands:
 jets, dim, tangent-cone, check-main, lambda, lct-bound, mld-bound,
-ord-blowup.  Reports are byte-deterministic; timing goes to stderr.
+ord-blowup.  Each is one entry of COMMANDS: a run function and the
+readers that check its parameters and turn them into typed values.
+Reports are byte-deterministic; timing goes to stderr.
 Exit codes: 0 ok, 2 parse error, 4 budget exhausted (a partial report
 is still printed when one exists), 3 any other precondition failure,
 5 the two routes of check-main disagreed where a theorem says they
 must agree (an internal error, reported rather than raised).
-
-`--jobs` / JETSPACE_JOBS are accepted and validated for compatibility;
-rows always run serially, so the value never changes the work done.
 """
 
 from __future__ import annotations
@@ -42,17 +41,6 @@ from .invariants import (
 from .jets import jet_ideal, lambda_sequence
 from .parser import parse_polynomial
 from .poly import Ring
-
-COMMANDS = (
-    "jets",
-    "dim",
-    "tangent-cone",
-    "check-main",
-    "lambda",
-    "lct-bound",
-    "mld-bound",
-    "ord-blowup",
-)
 
 
 class Document:
@@ -153,55 +141,92 @@ def parse_input(text):
     return Document(ring, ideals, point, budget_overrides, command, params)
 
 
-def _check_params(params, allowed, command):
-    for key in params:
-        if key not in allowed:
-            raise ParseError(f"command {command} does not take parameter {key!r}")
+# -- readers: each turns the command-table entry `key` into a typed value
 
 
-def _int_param(params, key, default=None, minimum=None):
-    if key not in params:
-        if default is None:
-            raise ParseError(f"missing required parameter {key}=")
-        return default
-    try:
-        value = int(params[key])
-    except ValueError:
-        raise ParseError(f"parameter {key} must be an integer")
-    if minimum is not None and value < minimum:
-        raise ParseError(f"parameter {key} must be at least {minimum}")
-    return value
-
-
-def _bool_param(params, key, default):
-    if key not in params:
-        return default
-    if params[key] not in ("true", "false"):
-        raise ParseError(f"parameter {key} must be true or false")
-    return params[key] == "true"
-
-
-def _ideal_param(doc, params, key="ideal", required=True):
-    name = params.get(key)
-    if name is None:
-        if key != "ideal":
-            if required:
+def _int(minimum, default=None):
+    """An integer of at least `minimum`; required when there is no default."""
+    def read(doc, key):
+        if key not in doc.params:
+            if default is None:
                 raise ParseError(f"missing required parameter {key}=")
-            return None
-        if len(doc.ideals) == 1:
-            return next(iter(doc.ideals.values()))
-        if not doc.ideals:
-            raise ParseError("no ideal declared")
-        raise ParseError("several ideals are declared; pass ideal=NAME")
+            return default
+        try:
+            value = int(doc.params[key])
+        except ValueError:
+            raise ParseError(f"parameter {key} must be an integer")
+        if value < minimum:
+            raise ParseError(f"parameter {key} must be at least {minimum}")
+        return value
+    return read
+
+
+def _bool(doc, key):
+    """true or false; true when absent."""
+    value = doc.params.get(key, "true")
+    if value not in ("true", "false"):
+        raise ParseError(f"parameter {key} must be true or false")
+    return value == "true"
+
+
+def _lookup(doc, name):
     if name not in doc.ideals:
         raise ParseError(f"unknown ideal {name!r}")
     return doc.ideals[name]
 
 
-def _point_required(doc):
+def _ideal(doc, key):
+    """The ideal the parameter names, or the only ideal declared."""
+    if key in doc.params:
+        return _lookup(doc, doc.params[key])
+    if len(doc.ideals) == 1:
+        return next(iter(doc.ideals.values()))
+    if not doc.ideals:
+        raise ParseError("no ideal declared")
+    raise ParseError("several ideals are declared; pass ideal=NAME")
+
+
+def _named(doc, key):
+    """The ideal a required parameter names."""
+    if key not in doc.params:
+        raise ParseError(f"missing required parameter {key}=")
+    return _lookup(doc, doc.params[key])
+
+
+def _on(doc, key):
+    """The optional ambient variety; naming one requires ideal= as well."""
+    if key not in doc.params:
+        return None
+    X = _lookup(doc, doc.params[key])
+    if "ideal" not in doc.params:
+        raise ParseError("with on=, pass ideal=NAME for the measured ideal")
+    return X
+
+
+def _point(doc, key):
     if doc.point is None:
         raise ParseError(f"command {doc.command} requires a point line")
     return doc.point
+
+
+def _point_or_origin(doc, key):
+    return doc.point
+
+
+def _clauses(doc, key):
+    """NAME^WEIGHT,... as a tuple of (ideal, Fraction weight) pairs."""
+    text = doc.params.get(key, "")
+    clauses = []
+    for chunk in text.split(",") if text else ():
+        name, sep, weight = chunk.partition("^")
+        if not sep:
+            raise ParseError(f"clause {chunk!r} needs the form NAME^WEIGHT")
+        ideal = _lookup(doc, name)
+        try:
+            clauses.append((ideal, Fraction(weight)))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad weight {weight!r}")
+    return tuple(clauses)
 
 
 def _fmt(value):
@@ -218,102 +243,90 @@ def _fmt_cells(cells):
     return ",".join(f"{e}:{d}" for e, d in cells)
 
 
-def _fmt_point(point):
-    return ", ".join(str(c) for c in point)
-
-
 def _fmt_indices(indices):
     return "(" + ",".join(str(m) for m in indices) + ")"
 
 
-def _cmd_jets(doc, budget):
-    _check_params(doc.params, {"ideal", "m"}, doc.command)
-    I = _ideal_param(doc, doc.params)
-    m = _int_param(doc.params, "m", minimum=0)
-    J = jet_ideal(I, m)
+def _numbered(label, gens):
+    return [f"{label} {i}: {g}" for i, g in enumerate(gens, start=1)]
+
+
+def _lambda_row(label, row):
+    return (
+        f"{label}: value={_fmt(row.value)} converged={_fmt(row.converged)} "
+        f"cells={_fmt_cells(row.cells)}"
+    )
+
+
+def _bound_summary(table, fmt_argmin):
+    """The bound line and notes closing an lct or mld table, and its data."""
+    argmin = "none" if table.argmin is None else fmt_argmin(table.argmin)
+    data = {"M": table.M, "bound": _fmt(table.bound), "argmin": argmin,
+            "exact": _fmt(table.exact)}
+    if table.bound is None:
+        line = "bound: none (every row was empty)"
+    else:
+        line = f"bound: {table.bound} at m={argmin} ({'exact' if table.exact else 'window edge'})"
+    return [line] + _notes(table.notes), data
+
+
+def _notes(notes):
+    return [f"note: {note}" for note in notes]
+
+
+def _jets(budget, ideal, m):
+    J = jet_ideal(ideal, m)
     human = [f"jet ring: {', '.join(J.jet_ring.ring.names)}"]
-    for i, g in enumerate(J.ideal.gens, start=1):
-        human.append(f"generator {i}: {g}")
-    data = {"level": m, "generators": len(J.ideal.gens)}
-    return human, data, "ok", 0
+    human += _numbered("generator", J.ideal.gens)
+    return human, {"level": m, "generators": len(J.ideal.gens)}, False
 
 
-def _cmd_dim(doc, budget):
-    _check_params(doc.params, {"ideal"}, doc.command)
-    I = _ideal_param(doc, doc.params)
-    res = I.krull_dimension(budget)
+def _dim(budget, ideal):
+    res = ideal.krull_dimension(budget)
     witness = ", ".join(res.independent_set) if res.independent_set else "(none)"
     human = [f"dimension: {res.dimension}", f"independent variables: {witness}"]
-    data = {
-        "dimension": res.dimension,
-        "independent": ",".join(res.independent_set),
-    }
-    return human, data, "ok", 0
+    data = {"dimension": res.dimension, "independent": ",".join(res.independent_set)}
+    return human, data, False
 
 
-def _cmd_tangent_cone(doc, budget):
-    _check_params(doc.params, {"ideal"}, doc.command)
-    I = _ideal_param(doc, doc.params)
-    cone = tangent_cone(I, doc.point, budget)
+def _tangent_cone(budget, ideal, point):
+    cone = tangent_cone(ideal, point, budget)
     human = [f"principal: {'yes' if cone.principal else 'no'}"]
-    for i, g in enumerate(cone.ideal.gens, start=1):
-        human.append(f"generator {i}: {g}")
+    human += _numbered("generator", cone.ideal.gens)
     data = {"principal": _fmt(cone.principal), "generators": len(cone.ideal.gens)}
-    return human, data, "ok", 0
+    return human, data, False
 
 
-def _cmd_check_main(doc, budget):
-    _check_params(doc.params, {"ideal", "e_max", "cross_check"}, doc.command)
-    I = _ideal_param(doc, doc.params)
-    point = _point_required(doc)
-    e_max = _int_param(doc.params, "e_max", default=3, minimum=0)
-    cross = _bool_param(doc.params, "cross_check", True)
-    report = check_mld_hat_equals_n(I, point, cross_check=cross, e_max=e_max, budget=budget)
+def _check_main(budget, ideal, point, e_max, cross_check):
+    report = check_mld_hat_equals_n(ideal, point, cross_check, e_max, budget)
+    jet = report.lambda_report
     human = [f"variety dimension n: {report.n}"]
-    for i, g in enumerate(report.cone.ideal.gens, start=1):
-        human.append(f"tangent cone generator {i}: {g}")
+    human += _numbered("tangent cone generator", report.cone.ideal.gens)
     human.append(f"cone status: {report.cone_status}")
     human.append(f"cone verdict: {_fmt(report.cone_verdict)}")
     if report.cone_certificate is not None:
         human.append(f"cone certificate: {report.cone_certificate}")
-    lambda_value = None
-    if report.lambda_report is not None:
-        row = report.lambda_report.rows[0]
-        lambda_value = row.value
-        human.append(
-            f"jet row m=1: value={_fmt(row.value)} converged={_fmt(row.converged)} "
-            f"cells={_fmt_cells(row.cells)}"
-        )
+    if jet is not None:
+        human.append(_lambda_row("jet row m=1", jet.rows[0]))
     human.append(f"jet verdict: {_fmt(report.lambda_verdict)}")
     human.append(f"overall verdict: {_fmt(report.verdict)}")
     human.append(f"agreement: {_fmt(report.agreement)}")
-    for note in report.notes:
-        human.append(f"note: {note}")
+    human += _notes(report.notes)
     data = {
         "n": report.n,
         "cone_status": report.cone_status,
         "cone_verdict": _fmt(report.cone_verdict),
-        "lambda_1": _fmt(lambda_value),
+        "lambda_1": _fmt(jet.rows[0].value if jet is not None else None),
         "lambda_verdict": _fmt(report.lambda_verdict),
         "verdict": _fmt(report.verdict),
         "agreement": _fmt(report.agreement),
     }
-    if report.lambda_report is not None and report.lambda_report.budget_hit and report.verdict is None:
-        return human, data, "budget-exhausted", 4
-    return human, data, "ok", 0
+    return human, data, jet is not None and jet.budget_hit and report.verdict is None
 
 
-def _cmd_lambda(doc, budget):
-    _check_params(doc.params, {"ideal", "m_max", "e_max"}, doc.command)
-    I = _ideal_param(doc, doc.params)
-    point = _point_required(doc)
-    m_max = _int_param(doc.params, "m_max", minimum=1)
-    e_max = _int_param(doc.params, "e_max", default=3, minimum=0)
-    report = lambda_sequence(I, point, m_max, e_max=e_max, budget=budget)
-    human = [
-        f"variety dimension n: {report.n}",
-        f"singular locus dimension: {report.singular_dim}",
-    ]
+def _lambda(budget, ideal, point, m_max, e_max):
+    report = lambda_sequence(ideal, point, m_max, e_max=e_max, budget=budget)
+    human = [f"variety dimension n: {report.n}", f"singular locus dimension: {report.singular_dim}"]
     data = {
         "n": report.n,
         "m_max": report.m_max,
@@ -324,10 +337,7 @@ def _cmd_lambda(doc, budget):
         "budget_hit": _fmt(report.budget_hit),
     }
     for row in report.rows:
-        line = (
-            f"row m={row.m}: value={_fmt(row.value)} converged={_fmt(row.converged)} "
-            f"cells={_fmt_cells(row.cells)}"
-        )
+        line = _lambda_row(f"row m={row.m}", row)
         if row.note:
             line += f" note: {row.note}"
         human.append(line)
@@ -336,28 +346,14 @@ def _cmd_lambda(doc, budget):
         data[f"row.{row.m}.cells"] = _fmt_cells(row.cells)
     human.append(f"stabilized lambda: {_fmt(report.stabilized)}")
     human.append(f"mld-hat: {_fmt(report.mld_hat)}")
-    for note in report.notes:
-        human.append(f"note: {note}")
-    if report.budget_hit:
-        return human, data, "budget-exhausted", 4
-    return human, data, "ok", 0
+    human += _notes(report.notes)
+    return human, data, report.budget_hit
 
 
-def _cmd_lct_bound(doc, budget):
-    _check_params(doc.params, {"ideal", "M", "e_max", "on"}, doc.command)
-    on_name = doc.params.get("on")
-    if on_name is not None and on_name not in doc.ideals:
-        raise ParseError(f"unknown ideal {on_name!r}")
-    if on_name is not None and "ideal" not in doc.params:
-        raise ParseError("with on=, pass ideal=NAME for the measured ideal")
-    a = _ideal_param(doc, doc.params)
-    X = doc.ideals[on_name] if on_name is not None else None
-    M = _int_param(doc.params, "M", default=4, minimum=1)
-    e_max = _int_param(doc.params, "e_max", default=3, minimum=0)
-    table = lct_hat_bound(a, M, on=X, e_max=e_max, budget=budget)
+def _lct_bound(budget, on, ideal, M, e_max):
+    table = lct_hat_bound(ideal, M, on=on, e_max=e_max, budget=budget)
+    tail, data = _bound_summary(table, str)
     human = []
-    data = {"M": M, "bound": _fmt(table.bound), "argmin": _fmt(table.argmin),
-            "exact": _fmt(table.exact)}
     for row in table.rows:
         if row.codim is None:
             human.append(f"row m={row.m}: skipped ({row.note})")
@@ -370,47 +366,14 @@ def _cmd_lct_bound(doc, budget):
         human.append(line)
         data[f"row.{row.m}.codim"] = str(row.codim)
         data[f"row.{row.m}.ratio"] = str(row.ratio)
-    if table.bound is None:
-        human.append("bound: none (every row was empty)")
-    else:
-        edge = "exact" if table.exact else "window edge"
-        human.append(f"bound: {table.bound} at m={table.argmin} ({edge})")
-    for note in table.notes:
-        human.append(f"note: {note}")
-    return human, data, "ok", 0
+    return human + tail, data, False
 
 
-def _parse_weighted_clauses(doc, text):
-    clauses = []
-    if not text:
-        return tuple(clauses)
-    for chunk in text.split(","):
-        name, sep, weight = chunk.partition("^")
-        if not sep:
-            raise ParseError(f"clause {chunk!r} needs the form NAME^WEIGHT")
-        if name not in doc.ideals:
-            raise ParseError(f"unknown ideal {name!r}")
-        try:
-            w = Fraction(weight)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad weight {weight!r}")
-        clauses.append((doc.ideals[name], w))
-    return tuple(clauses)
-
-
-def _cmd_mld_bound(doc, budget):
-    _check_params(doc.params, {"clauses", "center", "M"}, doc.command)
-    clauses = _parse_weighted_clauses(doc, doc.params.get("clauses", ""))
-    center_name = doc.params.get("center")
-    if center_name is None:
-        raise ParseError("missing required parameter center=")
-    if center_name not in doc.ideals:
-        raise ParseError(f"unknown ideal {center_name!r}")
-    M = _int_param(doc.params, "M", default=4, minimum=0)
-    table = mld_hat_bound(doc.ring, clauses, doc.ideals[center_name], M, budget)
+def _mld_bound(budget, clauses, center, M):
+    # every declared ideal lives in the document's ring
+    table = mld_hat_bound(center.ring, clauses, center, M, budget)
+    tail, data = _bound_summary(table, _fmt_indices)
     human = []
-    data = {"M": M, "bound": _fmt(table.bound), "exact": _fmt(table.exact)}
-    data["argmin"] = _fmt_indices(table.argmin) if table.argmin is not None else "none"
     for i, row in enumerate(table.rows):
         data[f"row.{i}.indices"] = _fmt_indices(row.indices)
         if row.codim is None:
@@ -422,20 +385,11 @@ def _cmd_mld_bound(doc, budget):
         )
         data[f"row.{i}.codim"] = str(row.codim)
         data[f"row.{i}.value"] = str(row.value)
-    if table.bound is None:
-        human.append("bound: none (every row was empty)")
-    else:
-        edge = "exact" if table.exact else "window edge"
-        human.append(f"bound: {table.bound} at m={_fmt_indices(table.argmin)} ({edge})")
-    for note in table.notes:
-        human.append(f"note: {note}")
-    return human, data, "ok", 0
+    return human + tail, data, False
 
 
-def _cmd_ord_blowup(doc, budget):
-    _check_params(doc.params, {"ideal"}, doc.command)
-    I = _ideal_param(doc, doc.params)
-    res = ord_blowup_origin(I)
+def _ord_blowup(budget, ideal, point):
+    res = ord_blowup_origin(ideal.translate(point) if point is not None else ideal)
     human = [
         f"vanishing order: {res.vanishing_order}",
         f"exceptional multiplicity: {res.k_exceptional}",
@@ -446,32 +400,48 @@ def _cmd_ord_blowup(doc, budget):
         "k_exceptional": res.k_exceptional,
         "log_discrepancy": res.log_discrepancy,
     }
-    return human, data, "ok", 0
+    return human, data, False
 
 
-_DISPATCH = {
-    "jets": _cmd_jets,
-    "dim": _cmd_dim,
-    "tangent-cone": _cmd_tangent_cone,
-    "check-main": _cmd_check_main,
-    "lambda": _cmd_lambda,
-    "lct-bound": _cmd_lct_bound,
-    "mld-bound": _cmd_mld_bound,
-    "ord-blowup": _cmd_ord_blowup,
+# command -> (run, {input: reader}).  Readers run in table order, so the
+# first failing check decides which error a malformed input reports; run
+# takes the values by name and returns (human lines, data, budget_hit).
+COMMANDS = {
+    "jets": (_jets, {"ideal": _ideal, "m": _int(0)}),
+    "dim": (_dim, {"ideal": _ideal}),
+    "tangent-cone": (_tangent_cone, {"ideal": _ideal, "point": _point_or_origin}),
+    "check-main": (
+        _check_main,
+        {"ideal": _ideal, "point": _point, "e_max": _int(0, 3), "cross_check": _bool},
+    ),
+    "lambda": (
+        _lambda,
+        {"ideal": _ideal, "point": _point, "m_max": _int(1), "e_max": _int(0, 3)},
+    ),
+    "lct-bound": (
+        _lct_bound,
+        {"on": _on, "ideal": _ideal, "M": _int(1, 4), "e_max": _int(0, 3)},
+    ),
+    "mld-bound": (_mld_bound, {"clauses": _clauses, "center": _named, "M": _int(0, 4)}),
+    "ord-blowup": (_ord_blowup, {"ideal": _ideal, "point": _point_or_origin}),
 }
 
 
 def execute(doc, budget):
-    human, data, status, code = _DISPATCH[doc.command](doc, budget)
-    lines = ["== jetspace report =="]
-    lines.append(f"command: {doc.command}")
-    lines.append("inputs:")
+    run, readers = COMMANDS[doc.command]
+    for key in doc.params:
+        # the point comes from the point line, never from a parameter
+        if key not in readers or key == "point":
+            raise ParseError(f"command {doc.command} does not take parameter {key!r}")
+    values = {key: read(doc, key) for key, read in readers.items()}
+    human, data, budget_hit = run(budget, **values)
+    lines = ["== jetspace report ==", f"command: {doc.command}", "inputs:"]
     lines.append(f"  ring: {', '.join(doc.ring.names)}")
     for name, ideal in doc.ideals.items():
         gens = ", ".join(str(g) for g in ideal.gens)
         lines.append(f"  ideal {name} = {gens}")
     if doc.point is not None:
-        lines.append(f"  point: {_fmt_point(doc.point)}")
+        lines.append(f"  point: {', '.join(str(c) for c in doc.point)}")
     if doc.params:
         plist = " ".join(f"{k}={v}" for k, v in sorted(doc.params.items()))
         lines.append(f"  params: {plist}")
@@ -481,50 +451,34 @@ def execute(doc, budget):
     lines.append("data:")
     for key in sorted(data):
         lines.append(f"  {key} = {data[key]}")
-    lines.append(f"status: {status}")
-    return lines, code
+    if budget_hit:
+        lines.append("status: budget-exhausted")
+        return lines, 4
+    lines.append("status: ok")
+    return lines, 0
 
 
 def _error_report(status, message):
     return f"== jetspace report ==\nstatus: {status}\nerror: {message}\n"
 
 
-def _env_int(name):
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"environment variable {name} must be an integer")
-
-
 def _resolve_budget(doc, args):
-    pairs = DEFAULT_BUDGET.max_pairs
-    degree = DEFAULT_BUDGET.max_degree
-    if "max_pairs" in doc.budget_overrides:
-        pairs = doc.budget_overrides["max_pairs"]
-    if "max_degree" in doc.budget_overrides:
-        degree = doc.budget_overrides["max_degree"]
-    env_pairs = _env_int("JETSPACE_MAX_PAIRS")
-    env_degree = _env_int("JETSPACE_MAX_DEGREE")
-    if env_pairs is not None:
-        pairs = env_pairs
-    if env_degree is not None:
-        degree = env_degree
-    if args.max_pairs is not None:
-        pairs = args.max_pairs
-    if args.max_degree is not None:
-        degree = args.max_degree
-    if pairs < 1 or degree < 1:
+    """Defaults, then the file's budget line, then JETSPACE_MAX_PAIRS and
+    JETSPACE_MAX_DEGREE, then the command-line flags."""
+    caps = {}
+    for key in ("max_pairs", "max_degree"):
+        caps[key] = doc.budget_overrides.get(key, getattr(DEFAULT_BUDGET, key))
+        env = f"JETSPACE_{key.upper()}"
+        if env in os.environ:
+            try:
+                caps[key] = int(os.environ[env])
+            except ValueError:
+                raise ParseError(f"environment variable {env} must be an integer")
+        if getattr(args, key) is not None:
+            caps[key] = getattr(args, key)
+    if min(caps.values()) < 1:
         raise ParseError("budget values must be positive")
-    return Budget(max_pairs=pairs, max_degree=degree)
-
-
-def _check_jobs(args):
-    jobs = args.jobs if args.jobs is not None else _env_int("JETSPACE_JOBS")
-    if jobs is not None and jobs < 1:
-        raise ParseError("jobs must be at least 1")
+    return Budget(**caps)
 
 
 def build_argparser():
@@ -538,9 +492,6 @@ def build_argparser():
         sp.add_argument("--out", help="write the report to this file instead of stdout")
         sp.add_argument("--max-pairs", type=int, help="pair budget for basis computations")
         sp.add_argument("--max-degree", type=int, help="degree budget for basis computations")
-        sp.add_argument(
-            "--jobs", type=int, help="accepted for compatibility; rows always run serially"
-        )
 
     run = sub.add_parser("run", help="execute an input file")
     run.add_argument("file", help="path to the input file")
@@ -572,7 +523,6 @@ def main(argv=None):
                     raise ParseError(f"cannot read input file: {exc}")
             doc = parse_input(text)
             budget = _resolve_budget(doc, args)
-            _check_jobs(args)
             lines, code = execute(doc, budget)
             out_text = "\n".join(lines) + "\n"
     except ParseError as exc:

@@ -128,7 +128,7 @@ class InvariantReport:
     notes: tuple
 
 
-def check_mld_hat_equals_n(I, point, cross_check=True, e_max=3, budget=None, jobs=1):
+def check_mld_hat_equals_n(I, point, cross_check=True, e_max=3, budget=None):
     """Decide whether the maximal Mather log discrepancy at `point`
     equals the dimension of V(I).
 
@@ -136,8 +136,7 @@ def check_mld_hat_equals_n(I, point, cross_check=True, e_max=3, budget=None, job
     not principal) the jet test.  For n >= 2 a disagreement between the
     two routes is an internal error and raises AgreementError.  For
     curves the cone test is not a valid criterion, so the jet route wins
-    and a note records any divergence.  `jobs` is accepted for
-    compatibility and ignored.
+    and a note records any divergence.
     """
     point = tuple(point)
     check_point_on(I, point)
@@ -220,11 +219,13 @@ class ThresholdRow:
 
 
 @dataclass(frozen=True)
-class ThresholdTable:
+class BoundTable:
+    """The rows of an lct or mld bound window and the bound they give."""
+
     M: int
-    rows: tuple
+    rows: tuple  # ThresholdRow or MldRow
     bound: object  # Fraction, or None when every row was empty
-    argmin: object  # first m attaining the bound
+    argmin: object  # first m (lct) or index tuple (mld) attaining the bound
     exact: bool  # True when the minimizer is interior to the window
     notes: tuple
 
@@ -301,7 +302,7 @@ def lct_hat_bound(a, M, on=None, e_max=3, budget=None):
             bound = r.ratio
             argmin = r.m
     exact = bound is not None and argmin < M
-    return ThresholdTable(M, tuple(rows), bound, argmin, exact, tuple(notes))
+    return BoundTable(M, tuple(rows), bound, argmin, exact, tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -310,16 +311,6 @@ class MldRow:
     codim: object  # int, or None for a skipped row
     value: object  # Fraction codim - sum(m_i e_i), or None
     note: str = ""
-
-
-@dataclass(frozen=True)
-class MldTable:
-    M: int
-    rows: tuple
-    bound: object  # Fraction, or None
-    argmin: object  # the index tuple attaining the bound
-    exact: bool
-    notes: tuple
 
 
 def mld_hat_bound(ring, clauses, center, M, budget=None):
@@ -375,7 +366,7 @@ def mld_hat_bound(ring, clauses, center, M, budget=None):
             bound = r.value
             argmin = r.indices
     exact = bound is not None and all(m < M for m in argmin)
-    return MldTable(M, tuple(rows), bound, argmin, exact, tuple(notes))
+    return BoundTable(M, tuple(rows), bound, argmin, exact, tuple(notes))
 
 
 @dataclass(frozen=True)

@@ -408,13 +408,12 @@ class LambdaReport:
     budget_hit: bool
 
 
-def lambda_sequence(I, point, m_max, e_max=3, budget=None, jobs=1):
+def lambda_sequence(I, point, m_max, e_max=3, budget=None):
     """Defect rows lambda_m^0 = m*n - dim(liftable image) for m = 1..m_max.
 
     Each row scans Jacobian-contact cells e = 0..e_max, stops early when a
     cell reaches the ceiling m*n, and otherwise probes e_max + 1 to decide
-    convergence.  Rows run serially in level order; `jobs` is accepted for
-    compatibility and does not change the work or the result.
+    convergence.  Rows run serially in level order.
 
     Dead contact orders: once a computed cell (m, e) is empty, the cell
     (m', e) is empty for every m' > m (its working level max(m', e) + e

@@ -119,12 +119,6 @@ def test_reports_are_deterministic(capsys):
     assert first == second
 
 
-def test_jobs_do_not_change_output(capsys):
-    serial = run_cli(capsys, "corpus", "cusp", "--jobs", "1")
-    threaded = run_cli(capsys, "corpus", "cusp", "--jobs", "4")
-    assert serial == threaded
-
-
 def test_point_off_variety_is_exit_3(tmp_path, capsys):
     src = tmp_path / "off.jsp"
     src.write_text("ring x, y\nideal X = x*y\npoint 1, 1\ncommand check-main\n")
@@ -164,12 +158,6 @@ def test_budget_env_override(tmp_path, capsys, monkeypatch):
     # the command-line flag wins over the environment
     code2, out2 = run_cli(capsys, "run", str(src), "--max-pairs", "200000")
     assert code2 == 0
-
-
-def test_jobs_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("JETSPACE_JOBS", "3")
-    code, out = run_cli(capsys, "corpus", "node")
-    assert code == 0
 
 
 def test_hard_budget_error_is_exit_4(tmp_path, capsys):
@@ -225,6 +213,42 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, text):
     assert "status: parse-error" in out
 
 
+ONE_IDEAL = "ring x, y\nideal X = x^2 - y^3\npoint 0, 0\n"
+SEVERAL_IDEALS = "ring x, y\nideal X = x^2 - y^3\nideal A = x, y\nideal W = x, y\n"
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (SEVERAL_IDEALS + "command lct-bound on=Q\n", "unknown ideal 'Q'"),
+        (
+            SEVERAL_IDEALS + "command lct-bound on=X\n",
+            "with on=, pass ideal=NAME for the measured ideal",
+        ),
+        (
+            SEVERAL_IDEALS + "command mld-bound clauses=A center=W\n",
+            "clause 'A' needs the form NAME^WEIGHT",
+        ),
+        (SEVERAL_IDEALS + "command mld-bound clauses=A^1\n", "missing required parameter center="),
+        (ONE_IDEAL + "command lambda point=1\n", "command lambda does not take parameter 'point'"),
+        (ONE_IDEAL + "command jets m=-1\n", "parameter m must be at least 0"),
+        (ONE_IDEAL + "command jets m=x\n", "parameter m must be an integer"),
+        (
+            ONE_IDEAL + "command check-main cross_check=maybe\n",
+            "parameter cross_check must be true or false",
+        ),
+        (SEVERAL_IDEALS + "command dim\n", "several ideals are declared; pass ideal=NAME"),
+    ],
+)
+def test_parameter_error_messages(tmp_path, capsys, text, error):
+    """The first failing check, in the command's reader order, names the error."""
+    src = tmp_path / "bad.jsp"
+    src.write_text(text)
+    code, out = run_cli(capsys, "run", str(src))
+    assert code == 2
+    assert out == f"== jetspace report ==\nstatus: parse-error\nerror: {error}\n"
+
+
 def test_parse_input_line_numbers():
     with pytest.raises(ParseError) as info:
         parse_input("ring x, y\nideal X = x &\ncommand dim\n")
@@ -263,6 +287,14 @@ def test_lct_on_requires_explicit_ideal(tmp_path, capsys):
     code, out = run_cli(capsys, "run", str(src))
     assert code == 2
     assert "ideal=NAME" in out
+
+
+def test_ord_blowup_at_the_point(tmp_path, capsys):
+    src = tmp_path / "ord.jsp"
+    src.write_text("ring x, y\nideal X = (x - 1)^2 - y^3\npoint 1, 0\ncommand ord-blowup\n")
+    code, out = run_cli(capsys, "run", str(src))
+    assert code == 0
+    assert "  vanishing order: 2\n  exceptional multiplicity: 1\n  log discrepancy: 0\n" in out
 
 
 def test_check_main_cross_check_off(tmp_path, capsys):

@@ -417,13 +417,6 @@ def test_lambda_smooth_point_of_node():
     assert report.mld_hat == 1
 
 
-def test_lambda_rows_parallel_match_serial():
-    I = ideal(R2, "x^2 - y^3")
-    serial = lambda_sequence(I, (0, 0), 3, e_max=3, jobs=1)
-    threaded = lambda_sequence(I, (0, 0), 3, e_max=3, jobs=3)
-    assert serial == threaded
-
-
 def test_lambda_point_off_variety():
     with pytest.raises(PreconditionError):
         lambda_sequence(ideal(R2, "x*y"), (1, 1), 1)
