@@ -29,8 +29,19 @@ The inner loop runs on integers only, after Bachmann and Schoenemann,
   each output element is made monic over Q at the end.
 
 A polynomial is a list of (key, monomial, coefficient) terms in
-ascending key order, so the leading term comes first; merging two such
-lists by bisection replaces dictionary arithmetic in the inner loop.
+ascending key order, so the leading term comes first.  Reduction works
+on heaps, after Monagan and Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors" (CASC 2007), so a step costs
+time in proportion to the reducer's length, not the work polynomial's:
+
+- The work polynomial is a dict from key to term plus a heap of keys;
+  the leading term is the smallest key not yet cancelled.
+- Scaling is lazy: a term remembers the scale at which it was stored and
+  is brought to the current scale only when touched or popped.
+- Within one basis run the basis only grows by appending, so the first
+  lead dividing a monomial never changes once found, and a monomial no
+  lead divides is only checked against leads appended later.  A memo
+  local to the run remembers both.
 
 Budgets: every basis computation counts selected S-pairs and watches term
 degrees.  Exceeding either cap raises BudgetExhausted instead of returning
@@ -39,13 +50,12 @@ a partial basis.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
+from itertools import islice
 from math import gcd, lcm
-from operator import itemgetter
 
 from .errors import BudgetExhausted, PreconditionError, RingMismatchError
 from .orders import GREVLEX, Block
@@ -88,8 +98,8 @@ class _Monomials:
         self.guards = self.units * guard | (guard << self.degree_offset)
         self.var_values = self.units * self.field
         self.top = self.offsets[-1] if nvars else 0
-        # negated, so keys ascend as monomials descend and bisect can
-        # search a term list
+        # negated, so keys ascend as monomials descend and a heap of
+        # keys pops the leading term first
         self.weights = tuple(-w for w in order.weights(nvars, 2 * max_degree))
 
     def pack(self, exps):
@@ -132,8 +142,6 @@ def _monomials(order, nvars, max_degree):
 # ascending, so largest monomial first; no zero coefficients
 # ---------------------------------------------------------------------
 
-_KEY = itemgetter(0)
-
 
 def _terms(poly, mono):
     """poly's terms, rational coefficients kept."""
@@ -142,7 +150,7 @@ def _terms(poly, mono):
         (sum(w * e for w, e in zip(weights, exps)), mono.pack(exps), c)
         for exps, c in poly.terms.items()
     ]
-    items.sort(key=_KEY)
+    items.sort()  # distinct monomials have distinct keys
     return items
 
 
@@ -184,62 +192,87 @@ def _check_shift(entry, shift, cap, mono):
                 )
 
 
-def _combine(f, i, a, g, ks, shift, b):
-    """a * f[i:] - b * x^shift * g[1:], where ks is the key of x^shift.
+# ---------------------------------------------------------------------
+# work polynomials: a dict key -> (monomial, coefficient, scale when
+# stored) plus a heap of keys.  The true coefficient of a term is
+# coefficient * (scale // scale when stored), so a fraction-free step
+# scales only the terms it touches.  A key whose coefficient cancels
+# leaves the dict; its heap entry goes stale and is skipped when popped.
+# ---------------------------------------------------------------------
 
-    The leading term of g is left out: callers pick a and b so that it
-    cancels.  Each shifted term of g is placed by bisection, and the run
-    of f before it is copied as one slice.
-    """
-    out = []
-    nf = len(f)
-    for kg, mg, cg in g[1:]:
+
+def _work(ip, ks=0, shift=0):
+    """Work polynomial (terms, heap) of x^shift * ip at scale 1, where
+    ks is the key of x^shift."""
+    terms = {k + ks: (m + shift, c, 1) for k, m, c in ip}
+    return terms, list(terms)  # ascending keys already form a heap
+
+
+def _subtract(work, scale, b, g, ks, shift):
+    """work -= b * x^shift * g[1:] at `scale`, where ks is the key of
+    x^shift; the leading term of g is left out, since callers pick b so
+    that it cancels."""
+    terms, heap = work
+    for kg, mg, cg in islice(g, 1, None):
         kg += ks
-        j = bisect_left(f, kg, i, nf, key=_KEY)
-        if j > i:
-            out += f[i:j] if a == 1 else [(k, m, a * c) for k, m, c in f[i:j]]
-        if j < nf and f[j][0] == kg:
-            c = a * f[j][2] - b * cg
-            if c:
-                out.append((kg, f[j][1], c))
-            i = j + 1
+        t = terms.get(kg)
+        if t is None:
+            terms[kg] = (mg + shift, -b * cg, scale)
+            heappush(heap, kg)
+            continue
+        m, c, at = t
+        if at != scale:
+            c *= scale // at
+        c -= b * cg
+        if c:
+            terms[kg] = (m, c, scale)
         else:
-            out.append((kg, mg + shift, -b * cg))
-            i = j
-    if i < nf:
-        out += f[i:] if a == 1 else [(k, m, a * c) for k, m, c in f[i:]]
-    return out
+            del terms[kg]
 
 
-def _normal_form_ip(work, basis, mono, max_degree):
-    """Full normal form of `work` against the basis entries, fraction-free.
+def _normal_form_ip(work, scale, basis, memo, mono, max_degree):
+    """Full normal form of the work polynomial at `scale` against the
+    basis entries, fraction-free.
 
-    Returns (remainder, scale) with scale a positive int and remainder
-    equal to scale times the normal form over Q.
+    Each term is reduced by the first entry, in list order, whose lead
+    divides it.  `memo` maps a monomial to that entry, or to the number
+    of entries at the front of `basis` whose leads do not divide it; it
+    stays valid while `basis` only grows by appending.
+
+    Returns (remainder, final scale).  The remainder is final scale over
+    initial scale times the work polynomial's normal form over Q, so it
+    is final scale times the normal form when the initial scale is 1.
     """
+    terms, heap = work
     guards = mono.guards
     done = []  # (key, monomial, coefficient, scale when emitted)
-    scale = 1
-    i = 0
-    while i < len(work):
-        key, m, c = work[i]
-        probe = m | guards
-        for entry in basis:
-            if (probe - entry[0]) & guards == guards:
-                break
-        else:
-            done.append((key, m, c, scale))
-            i += 1
-            continue
+    while heap:
+        key = heappop(heap)
+        t = terms.pop(key, None)
+        if t is None:
+            continue  # cancelled, or popped already after a second push
+        m, c, at = t
+        if at != scale:
+            c *= scale // at
+        entry = memo.get(m, 0)
+        if entry.__class__ is int:  # leads known not to divide m
+            probe = m | guards
+            for entry in islice(basis, entry, None):
+                if (probe - entry[0]) & guards == guards:
+                    break
+            else:
+                entry = len(basis)
+            memo[m] = entry
+            if entry.__class__ is int:
+                done.append((key, m, c, scale))
+                continue
         reducer = entry[2]
         lk, lm, lc = reducer[0]
         shift = m - lm
         _check_shift(entry, shift, max_degree, mono)
         g = gcd(c, lc)
-        a = lc // g
-        scale *= a
-        work = _combine(work, i + 1, a, reducer, key - lk, shift, c // g)
-        i = 0
+        scale *= lc // g
+        _subtract(work, scale, c // g, reducer, key - lk, shift)
     return [(k, m, c * (scale // at)) for k, m, c, at in done], scale
 
 
@@ -349,8 +382,9 @@ def reduced_groebner(gens, order=GREVLEX, budget=None):
             heappush(queue, (-lcm_k, i, t))
         basis.append(_reducer(ip, mono))
 
+    memo = {}  # for this run's basis, which only grows by appending
     for terms in inputs:
-        nf, _ = _normal_form_ip(_integral(terms)[0], basis, mono, cap)
+        nf, _ = _normal_form_ip(_work(_integral(terms)[0]), 1, basis, memo, mono, cap)
         if nf:
             add_element(_primitive(nf))
 
@@ -378,13 +412,13 @@ def reduced_groebner(gens, order=GREVLEX, budget=None):
         shift_i, shift_j = lcm_m - fi[0][1], lcm_m - fj[0][1]
         _check_shift(entry_i, shift_i, cap, mono)
         _check_shift(entry_j, shift_j, cap, mono)
+        # the S-polynomial a * x^shift_i * fi - b * x^shift_j * fj, with
+        # x^shift_i * fi[1:] stored at scale 1 and read at scale a
         g = gcd(fi[0][2], fj[0][2])
-        ks_i = lcm_k - fi[0][0]
-        head = [(k + ks_i, m + shift_i, c) for k, m, c in fi[1:]]
-        s = _combine(
-            head, 0, fj[0][2] // g, fj, lcm_k - fj[0][0], shift_j, fi[0][2] // g
-        )
-        nf, _ = _normal_form_ip(s, basis, mono, cap)
+        a = fj[0][2] // g
+        work = _work(islice(fi, 1, None), lcm_k - fi[0][0], shift_i)
+        _subtract(work, a, fi[0][2] // g, fj, lcm_k - fj[0][0], shift_j)
+        nf, _ = _normal_form_ip(work, a, basis, memo, mono, cap)
         if nf:
             add_element(_primitive(nf))
 
@@ -392,12 +426,16 @@ def reduced_groebner(gens, order=GREVLEX, budget=None):
     # lead divides its lead: the active elements are the minimal basis
     minimal = [basis[i] for i in active]
 
-    # interreduce tails; leads are pairwise non-divisible so one pass works
+    # interreduce tails against the whole list: a lead divides no term
+    # smaller than itself, so an element never reduces its own tail, and
+    # the lead comes back at the tail's scale
     reduced = []
-    for pos, entry in enumerate(minimal):
-        others = [minimal[q] for q in range(len(minimal)) if q != pos]
-        nf, _ = _normal_form_ip(entry[2], others, mono, cap)
-        reduced.append(nf)
+    memo = {}  # a new list of entries, so a new memo
+    for _, _, ip in minimal:
+        lk, lm, lc = ip[0]
+        tail = _work(islice(ip, 1, None))
+        nf, scale = _normal_form_ip(tail, 1, minimal, memo, mono, cap)
+        reduced.append([(lk, lm, lc * scale)] + nf)
 
     reduced.sort(key=lambda ip: ip[0][0])
     return tuple(_to_polynomial(ring, ip, mono, ip[0][2]) for ip in reduced)
@@ -418,7 +456,7 @@ def normal_form(poly, basis_polys, order=GREVLEX, budget=None):
     mono = _monomials(order, poly.ring.ngens, bound)
     entries = [_reducer(_primitive(_integral(_terms(g, mono))[0]), mono) for g in polys]
     work, den = _integral(_terms(poly, mono))
-    nf, scale = _normal_form_ip(work, entries, mono, budget.max_degree)
+    nf, scale = _normal_form_ip(_work(work), 1, entries, {}, mono, budget.max_degree)
     return _to_polynomial(poly.ring, nf, mono, scale * den)
 
 

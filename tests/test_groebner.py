@@ -365,6 +365,89 @@ def test_normal_form_is_the_exact_rational_remainder():
         assert Ideal(R2, gb).contains(f - r)
 
 
+def reference_normal_form(f, divisors, order):
+    """Remainder of f on division by the list `divisors` over Q: the
+    largest remaining term first, each reduced by the first divisor in
+    list order whose lead divides it."""
+    leads = [(max(g.terms, key=order.key), g) for g in divisors]
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        m = max(work, key=order.key)
+        c = work.pop(m)
+        for lm, g in leads:
+            if all(a >= b for a, b in zip(m, lm)):
+                q = c / g.terms[lm]
+                for e, cg in g.terms.items():
+                    if e != lm:
+                        e = tuple(a + b - d for a, b, d in zip(e, m, lm))
+                        work[e] = work.get(e, 0) - q * cg
+                        if not work[e]:
+                            del work[e]
+                break
+        else:
+            remainder[m] = c
+    return Polynomial(f.ring, remainder)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [LEX, GREVLEX, Block(1, GREVLEX), Block(2, LEX)],
+    ids=["lex", "grevlex", "block-1-grevlex", "block-2-lex"],
+)
+def test_normal_form_matches_reference_reducer(order):
+    # leading coefficients 2..6 and rational coefficients make most steps
+    # change the scale, so terms the step leaves alone must be rescaled
+    # when they are next read
+    rng = random.Random(20261018)
+
+    def rand_poly(lead_coeff=None):
+        terms = {}
+        for _ in range(rng.randint(2, 5)):
+            exps = tuple(rng.randint(0, 3) for _ in range(3))
+            terms[exps] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        p = Polynomial(R3, terms)
+        if p.is_zero() or lead_coeff is None:
+            return p
+        return p.monic(order) * lead_coeff
+
+    for _ in range(60):
+        divisors = [rand_poly(rng.randint(2, 6)) for _ in range(rng.randint(1, 4))]
+        divisors = [g for g in divisors if not g.is_zero()]
+        f = sum((rand_poly() * g for g in divisors), rand_poly())
+        assert normal_form(f, divisors, order) == reference_normal_form(
+            f, divisors, order
+        )
+    # x*z reduces to a multiple of y*z that cancels the input's own y*z;
+    # then y^2 brings y*z back, so a key dropped from the work polynomial
+    # is pushed again while its stale heap entry is still waiting
+    divisors = mk(R3, "2*x - 3*y", "5*y^2 - 7*y*z")
+    f = parse_polynomial("4*x*z - 6*y*z + 3*y^2 + z^2", R3)
+    expected = parse_polynomial("21/5*y*z + z^2", R3)
+    assert reference_normal_form(f, divisors, order) == expected
+    assert normal_form(f, divisors, order) == expected
+
+
+def test_normal_form_uses_the_first_dividing_lead():
+    # not a Groebner basis: both leads divide x*y^2, and the remainder
+    # depends on which reduces it.  By 2*x*y - z: x*y^2 - y/2*(2*x*y - z)
+    # = 1/2*y*z.  By 3*y^2 - 1: x*y^2 - x/3*(3*y^2 - 1) = 1/3*x.
+    f = parse_polynomial("x*y^2", R3)
+    g1, g2 = mk(R3, "2*x*y - z", "3*y^2 - 1")
+    for order in (LEX, GREVLEX):
+        assert normal_form(f, [g1, g2], order) == parse_polynomial("1/2*y*z", R3)
+        assert normal_form(f, [g2, g1], order) == parse_polynomial("1/3*x", R3)
+
+
+def test_reducer_memo_sees_leads_appended_later():
+    # lex, x > y: x*y first turns up irreducible by the only lead so far,
+    # x^2*y; once x - 2*y^2 is in the basis, x*y turns up again in an
+    # S-polynomial and must be reduced by it, so a memo that remembered
+    # "irreducible" for good would leave x*y in the basis
+    gens = mk(R2, "x^3 - 2*x*y", "x^2*y - 2*y^2 + x")
+    assert reduced_groebner(gens, LEX) == mk(R2, "x - 2*y^2", "y^3")
+
+
 # SHA-256 of the newline-joined str() of each reduced basis.  The values
 # were computed with the engine the integer kernel replaced (Fraction
 # coefficients, exponent tuples, tuple sort keys), before the change;
