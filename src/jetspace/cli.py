@@ -18,12 +18,18 @@ Exit codes: 0 ok, 2 parse error, 4 budget exhausted (a partial report
 is still printed when one exists), 3 any other precondition failure,
 5 the two routes of check-main disagreed where a theorem says they
 must agree (an internal error, reported rather than raised).
+
+Command line: `run FILE` or `corpus [NAME]`, then --out, --max-pairs and
+--max-degree in any order around the argument (see USAGE).  -h/--help
+prints the usage to stdout and exits 0.  A malformed command line prints
+the usage and `jetspace: error: ...` to stderr, nothing to stdout, and
+exits 2 (SystemExit from `main`, before any report is built).
 """
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -462,7 +468,7 @@ def _error_report(status, message):
     return f"== jetspace report ==\nstatus: {status}\nerror: {message}\n"
 
 
-def _resolve_budget(doc, args):
+def _resolve_budget(doc, flags):
     """Defaults, then the file's budget line, then JETSPACE_MAX_PAIRS and
     JETSPACE_MAX_DEGREE, then the command-line flags."""
     caps = {}
@@ -474,55 +480,129 @@ def _resolve_budget(doc, args):
                 caps[key] = int(os.environ[env])
             except ValueError:
                 raise ParseError(f"environment variable {env} must be an integer")
-        if getattr(args, key) is not None:
-            caps[key] = getattr(args, key)
+        if key in flags:
+            caps[key] = flags[key]
     if min(caps.values()) < 1:
         raise ParseError("budget values must be positive")
     return Budget(**caps)
 
 
-def build_argparser():
-    parser = argparse.ArgumentParser(
-        prog="jetspace",
-        description="exact jet-scheme and discrepancy computations over the rationals",
-    )
-    sub = parser.add_subparsers(dest="mode", required=True)
+_SYNOPSIS = """\
+usage: jetspace run FILE [--out PATH] [--max-pairs N] [--max-degree N]
+       jetspace corpus [NAME] [--out PATH] [--max-pairs N] [--max-degree N]
+"""
+USAGE = _SYNOPSIS + """
+exact jet-scheme and discrepancy computations over the rationals
 
-    def add_common(sp):
-        sp.add_argument("--out", help="write the report to this file instead of stdout")
-        sp.add_argument("--max-pairs", type=int, help="pair budget for basis computations")
-        sp.add_argument("--max-degree", type=int, help="degree budget for basis computations")
+  run FILE         execute an input file
+  corpus           list the built-in examples
+  corpus NAME      run one by name
+  --out PATH       write the report to PATH instead of stdout
+  --max-pairs N    pair budget for basis computations
+  --max-degree N   degree budget for basis computations
+  -h, --help       show this text and exit
 
-    run = sub.add_parser("run", help="execute an input file")
-    run.add_argument("file", help="path to the input file")
-    add_common(run)
-    corpus = sub.add_parser("corpus", help="list built-in examples, or run one by name")
-    corpus.add_argument("name", nargs="?", help="corpus entry to run (omit to list)")
-    add_common(corpus)
-    return parser
+Options follow the mode, may come before or after its argument, may be
+shortened to a unique prefix, and take their value as --opt VALUE or
+--opt=VALUE; a -- ends the options.
+"""
+
+# long option -> type of its value (--help takes none)
+_OPTIONS = {"--help": None, "--out": str, "--max-pairs": int, "--max-degree": int}
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+def _usage_error(message):
+    sys.stderr.write(f"{_SYNOPSIS}jetspace: error: {message}\n")
+    sys.exit(2)
+
+
+def _option(token):
+    """(option, value attached with '=' or None) for an option token,
+    ("--", None) for the end of the options and (None, None) for a
+    positional.  Tokens are read as argparse reads them: '', '-',
+    negative numbers and tokens holding a space are positional, and an
+    unknown option is an error."""
+    if token == "--":
+        return "--", None
+    if token[:2] == "--":
+        name, eq, value = token.partition("=")
+        matches = [o for o in _OPTIONS if o.startswith(name)]
+        if len(matches) > 1:
+            _usage_error(f"ambiguous option: {name} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif token[:2] == "-h":
+        return "--help", token[2:] or None
+    if token[:1] != "-" or token == "-" or _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None, None
+    _usage_error(f"unrecognized arguments: {token}")
+
+
+def _read_argv(argv):
+    """(mode, its FILE or NAME or None, {dest: value}) of a command line.
+
+    The mode comes first.  -h/--help prints the usage to stdout and exits
+    0; a malformed command line prints its first lines with the error to
+    stderr and exits 2.
+    """
+    mode = argv[0] if argv else ""
+    if mode not in ("run", "corpus"):
+        if _option(mode) == ("--help", None):
+            sys.stdout.write(USAGE)
+            sys.exit(0)
+        _usage_error("the first argument must be the mode, run or corpus")
+    positionals, flags = [], {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option, value = _option(token)
+        if option is None:
+            positionals.append(token)
+            continue
+        if option == "--":
+            positionals.extend(tokens)
+            break
+        if option == "--help":
+            if value is not None:
+                _usage_error(f"{option} takes no value")
+            sys.stdout.write(USAGE)
+            sys.exit(0)
+        if value is None:
+            value = next(tokens, None)
+            if value is None or _option(value)[0] is not None:
+                _usage_error(f"{option} needs a value")
+        try:
+            flags[option[2:].replace("-", "_")] = _OPTIONS[option](value)
+        except ValueError:
+            _usage_error(f"{option} needs an integer, not {value!r}")
+    if len(positionals) > 1:
+        _usage_error(f"unrecognized arguments: {' '.join(positionals[1:])}")
+    if mode == "run" and not positionals:
+        _usage_error("run needs an input FILE")
+    return mode, positionals[0] if positionals else None, flags
 
 
 def main(argv=None):
-    args = build_argparser().parse_args(argv)
+    mode, target, flags = _read_argv(sys.argv[1:] if argv is None else argv)
     started = time.perf_counter()
     code = 0
     out_text = ""
     try:
-        if args.mode == "corpus" and args.name is None:
+        if mode == "corpus" and target is None:
             out_text = "\n".join(sorted(CORPUS)) + "\n"
         else:
-            if args.mode == "corpus":
-                if args.name not in CORPUS:
-                    raise ParseError(f"unknown corpus entry {args.name!r}")
-                text = CORPUS[args.name]
+            if mode == "corpus":
+                if target not in CORPUS:
+                    raise ParseError(f"unknown corpus entry {target!r}")
+                text = CORPUS[target]
             else:
                 try:
-                    with open(args.file, "r", encoding="utf-8") as fh:
+                    with open(target, "r", encoding="utf-8") as fh:
                         text = fh.read()
                 except (OSError, UnicodeDecodeError) as exc:
                     raise ParseError(f"cannot read input file: {exc}")
             doc = parse_input(text)
-            budget = _resolve_budget(doc, args)
+            budget = _resolve_budget(doc, flags)
             lines, code = execute(doc, budget)
             out_text = "\n".join(lines) + "\n"
     except ParseError as exc:
@@ -540,9 +620,9 @@ def main(argv=None):
     finally:
         elapsed = time.perf_counter() - started
         print(f"elapsed: {elapsed:.2f}s", file=sys.stderr)
-    if getattr(args, "out", None):
+    if flags.get("out"):
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with open(flags["out"], "w", encoding="utf-8") as fh:
                 fh.write(out_text)
             return code
         except OSError as exc:

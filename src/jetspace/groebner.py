@@ -56,6 +56,7 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import islice
 from math import gcd, lcm
+from operator import lshift, mul
 
 from .errors import BudgetExhausted, PreconditionError, RingMismatchError
 from .orders import GREVLEX, Block
@@ -103,7 +104,7 @@ class _Monomials:
         self.weights = tuple(-w for w in order.weights(nvars, 2 * max_degree))
 
     def pack(self, exps):
-        m = sum(e << o for e, o in zip(exps, self.offsets))
+        m = sum(map(lshift, exps, self.offsets))
         return m | (sum(exps) << self.degree_offset)
 
     def unpack(self, m):
@@ -147,7 +148,7 @@ def _terms(poly, mono):
     """poly's terms, rational coefficients kept."""
     weights = mono.weights
     items = [
-        (sum(w * e for w, e in zip(weights, exps)), mono.pack(exps), c)
+        (sum(map(mul, weights, exps)), mono.pack(exps), c)
         for exps, c in poly.terms.items()
     ]
     items.sort()  # distinct monomials have distinct keys

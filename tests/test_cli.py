@@ -72,6 +72,144 @@ def test_frozen_tangent_cone_report(capsys):
     )
 
 
+TIGHT = "ring x, y\nideal X = x^2 - y^3\npoint 0, 0\ncommand lambda m_max=1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "{file}", "--max-pairs=1"),
+        ("run", "{file}", "--max-p", "1"),
+        ("run", "{file}", "--max-p=1"),
+        ("run", "--max-pairs", "1", "{file}"),
+        ("run", "--max-d", "64", "{file}", "--max-pairs", "1"),
+        ("run", "--max-pairs", "1", "--", "{file}"),
+        ("run", "{file}", "--max-pairs", "5", "--max-pairs", "1"),
+    ],
+)
+def test_option_spellings_and_places(tmp_path, capsys, argv):
+    """=VALUE, unique prefixes, options before or after FILE, -- and a
+    repeated option (the last wins) all read as --max-pairs 1."""
+    src = tmp_path / "tight.jsp"
+    src.write_text(TIGHT)
+    expected = run_cli(capsys, "run", str(src), "--max-pairs", "1")
+    assert expected[0] == 4
+    assert "budget: max_pairs=1 max_degree=64" in expected[1]
+    assert run_cli(capsys, *(a.format(file=src) for a in argv)) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("corpus", "cusp-tangent-cone", "--out={out}"),
+        ("corpus", "--o", "{out}", "cusp-tangent-cone"),
+        ("corpus", "--ou={out}", "--", "cusp-tangent-cone"),
+    ],
+)
+def test_out_spellings_write_the_report(tmp_path, capsys, argv):
+    expected = run_cli(capsys, "corpus", "cusp-tangent-cone")[1]
+    target = tmp_path / "report.txt"
+    code, out = run_cli(capsys, *(a.format(out=target) for a in argv))
+    assert (code, out) == (0, "")
+    assert target.read_text() == expected
+
+
+def test_empty_out_value_prints_to_stdout(capsys):
+    expected = run_cli(capsys, "corpus", "cusp-tangent-cone")
+    assert run_cli(capsys, "corpus", "cusp-tangent-cone", "--out=") == expected
+
+
+def test_posixly_correct_does_not_change_the_reading(tmp_path, capsys, monkeypatch):
+    """Options after FILE still count when POSIXLY_CORRECT is set, as they
+    did under argparse (getopt.gnu_getopt would read them as positionals)."""
+    src = tmp_path / "tight.jsp"
+    src.write_text(TIGHT)
+    expected = run_cli(capsys, "run", str(src), "--max-pairs", "1")
+    monkeypatch.setenv("POSIXLY_CORRECT", "1")
+    assert run_cli(capsys, "run", str(src), "--max-pairs", "1") == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("-h",), ("--help",), ("--he",), ("corpus", "-h"), ("run", "--help"), ("corpus", "cusp", "-h")],
+)
+def test_help_exits_0_with_usage_on_stdout(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert info.value.code == 0
+    assert captured.out.startswith("usage: jetspace")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),  # no mode
+        ("frobnicate",),  # unknown mode
+        ("--out", "x", "corpus"),  # options before the mode
+        ("corpus", "--bogus"),  # unknown option
+        ("corpus", "-x"),  # unknown short option
+        ("corpus", "cusp", "--max-pairs", "x"),  # non-integer value
+        ("corpus", "cusp", "--max-pairs=1.5"),
+        ("corpus", "--max", "1"),  # ambiguous prefix
+        ("corpus", "cusp", "--out"),  # missing value
+        ("corpus", "--out", "--max-pairs", "1"),  # an option is no value
+        ("corpus", "--help=x"),  # --help takes no value
+        ("run",),  # no FILE
+        ("corpus", "cusp", "extra"),  # extra positional
+        ("run", "a.jsp", "--", "b.jsp"),
+    ],
+)
+def test_malformed_command_lines_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage: jetspace")
+    assert "error: " in captured.err
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [(("-3",), "-3"), (("-.5",), "-.5"), (("-x y",), "-x y"), (("-",), "-"), (("--", "--out"), "--out")],
+)
+def test_dash_tokens_that_are_no_options(capsys, args, name):
+    """As under argparse, negative numbers, tokens holding a space, a lone
+    - and anything after -- are arguments: here they reach the corpus
+    lookup."""
+    code, out = run_cli(capsys, "corpus", *args)
+    assert code == 2
+    assert out == f"== jetspace report ==\nstatus: parse-error\nerror: unknown corpus entry {name!r}\n"
+
+
+def test_budget_flag_takes_a_negative_value(capsys):
+    code, out = run_cli(capsys, "corpus", "cusp-jets", "--max-degree", "-3")
+    assert code == 2
+    assert out.endswith("error: budget values must be positive\n")
+
+
+def test_cold_call_loads_no_argparse_or_locale():
+    """A cold `corpus NAME` call pays for neither argparse's import nor the
+    locale lookups its gettext calls make."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    script = (
+        "import contextlib, io, sys\n"
+        "import jetspace.cli\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = jetspace.cli.main(['corpus', 'cone-dim'])\n"
+        "print(code, 'argparse' in sys.modules, 'locale' in set(sys.modules) - before)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.stdout.split() == ["0", "False", "False"], proc.stderr
+
+
 def test_run_file(tmp_path, capsys):
     src = tmp_path / "node.jsp"
     src.write_text("ring x, y\nideal X = x*y\npoint 0, 0\ncommand lambda m_max=1 e_max=1\n")
