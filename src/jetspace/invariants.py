@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .errors import AgreementError, PreconditionError, RingMismatchError
 from .groebner import Ideal, gcd_poly, reduced_groebner
@@ -28,6 +29,7 @@ from .jets import (
     ContactClause,
     check_point_on,
     contact_cell_dim,
+    contact_cell_walk,
     contact_ideal,
     jacobian_ideal,
     jet_ideal,
@@ -230,6 +232,28 @@ class BoundTable:
     notes: tuple
 
 
+def _bound_table(M, rows, entry, interior):
+    """The BoundTable of a window's rows.
+
+    `entry(row)` gives the row's (key, score), with score None for a
+    skipped row.  The bound is the least score and argmin the key of the
+    first row attaining it; `exact` is interior(argmin).  Each skipped
+    row leaves the note "row m=<key> skipped: <its note>".
+    """
+    bound = None
+    argmin = None
+    notes = []
+    for r in rows:
+        key, score = entry(r)
+        if score is None:
+            notes.append(f"row m={key} skipped: {r.note}")
+        elif bound is None or score < bound:
+            bound = score
+            argmin = key
+    exact = bound is not None and interior(argmin)
+    return BoundTable(M, tuple(rows), bound, argmin, exact, tuple(notes))
+
+
 def lct_hat_bound(a, M, on=None, e_max=3, budget=None):
     """Upper-bound table for the (Mather) log canonical threshold of `a`.
 
@@ -241,10 +265,9 @@ def lct_hat_bound(a, M, on=None, e_max=3, budget=None):
     Singular ambient (on=X): the same contact condition is intersected
     with the liftable locus of X, split into Jacobian-contact cells, and
     codimension is measured against the expected jet dimension of X.
-    Cell (m, e) sits at working level max(m - 1, e) + e, which never
-    drops as m grows, and its clause ord(a) >= m only gets stronger; so
-    once a cell is empty, e is skipped in every later row (see
-    contact_cell_dim).  Empty cells are left out of `cells` either way.
+    Cell (m, e) sits at working level max(m - 1, e) + e and is measured
+    at level max(m - 1, e).  Empty cells are left out of `cells`, and
+    are not computed again in later rows (see contact_cell_walk).
     """
     if M < 1:
         raise PreconditionError("window M must be at least 1")
@@ -253,7 +276,6 @@ def lct_hat_bound(a, M, on=None, e_max=3, budget=None):
     if a.is_trivial(budget):
         raise PreconditionError("threshold needs a proper ideal")
     rows = []
-    notes = []
     if on is None:
         N = a.ring.ngens
         for m in range(1, M + 1):
@@ -261,7 +283,6 @@ def lct_hat_bound(a, M, on=None, e_max=3, budget=None):
             dim = J.ideal.krull_dimension(budget).dimension
             if dim < 0:
                 rows.append(ThresholdRow(m, None, None, (), "empty contact locus"))
-                notes.append(f"row m={m} skipped: empty contact locus")
                 continue
             codim = N * m - dim
             rows.append(ThresholdRow(m, codim, Fraction(codim, m), ()))
@@ -273,36 +294,25 @@ def lct_hat_bound(a, M, on=None, e_max=3, budget=None):
         if n < 1:
             raise PreconditionError(f"ambient variety dimension is {n}")
         jac = jacobian_ideal(X, len(X.gens))
-        dead = set()  # contact orders whose cell was proved empty at a lower row
-        for m in range(1, M + 1):
-            cells = []
-            best = None
+
+        def cell(m, e):
+            s = max(m - 1, e)
             contact = (ContactClause(a, ">=", m),)
-            for e in range(e_max + 1):
-                if e in dead:
-                    continue
-                s = max(m - 1, e)
-                dim_e = contact_cell_dim(X, jac, e, s + e, s, extra=contact, budget=budget)
-                if dim_e < 0:
-                    dead.add(e)
-                    continue
-                codim_e = n * (s + 1) - dim_e
-                cells.append((e, codim_e))
-                if best is None or codim_e < best:
-                    best = codim_e
-            if best is None:
+            return contact_cell_dim(X, jac, e, s + e, s, extra=contact, budget=budget)
+
+        walk = contact_cell_walk(cell)
+        for m in range(1, M + 1):
+            cells = tuple(
+                (e, n * (max(m - 1, e) + 1) - d)
+                for e, d in walk(m, range(e_max + 1))
+                if d >= 0
+            )
+            if not cells:
                 rows.append(ThresholdRow(m, None, None, (), "no liftable contact found"))
-                notes.append(f"row m={m} skipped: no liftable contact found")
                 continue
-            rows.append(ThresholdRow(m, best, Fraction(best, m), tuple(cells)))
-    bound = None
-    argmin = None
-    for r in rows:
-        if r.ratio is not None and (bound is None or r.ratio < bound):
-            bound = r.ratio
-            argmin = r.m
-    exact = bound is not None and argmin < M
-    return BoundTable(M, tuple(rows), bound, argmin, exact, tuple(notes))
+            best = min(codim for _, codim in cells)
+            rows.append(ThresholdRow(m, best, Fraction(best, m), cells))
+    return _bound_table(M, rows, lambda r: (r.m, r.ratio), lambda m: m < M)
 
 
 @dataclass(frozen=True)
@@ -340,10 +350,7 @@ def mld_hat_bound(ring, clauses, center, M, budget=None):
             raise PreconditionError("weights must be positive")
         weighted.append((ideal_i, w))
     N = ring.ngens
-    from itertools import product
-
     rows = []
-    notes = []
     for indices in product(range(M + 1), repeat=len(weighted)):
         p = max([m - 1 for m in indices if m >= 1], default=0)
         contact = [ContactClause(center, ">=", 1)]
@@ -354,19 +361,13 @@ def mld_hat_bound(ring, clauses, center, M, budget=None):
         dim = closed.ideal.krull_dimension(budget).dimension
         if dim < 0:
             rows.append(MldRow(indices, None, None, "empty contact locus"))
-            notes.append(f"row m={indices} skipped: empty contact locus")
             continue
         codim = N * (p + 1) - dim
         value = Fraction(codim) - sum(m * w for (_, w), m in zip(weighted, indices))
         rows.append(MldRow(indices, codim, value))
-    bound = None
-    argmin = None
-    for r in rows:
-        if r.value is not None and (bound is None or r.value < bound):
-            bound = r.value
-            argmin = r.indices
-    exact = bound is not None and all(m < M for m in argmin)
-    return BoundTable(M, tuple(rows), bound, argmin, exact, tuple(notes))
+    return _bound_table(
+        M, rows, lambda r: (r.indices, r.value), lambda argmin: all(m < M for m in argmin)
+    )
 
 
 @dataclass(frozen=True)

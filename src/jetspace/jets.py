@@ -171,11 +171,10 @@ def pad_to_jet_ring(poly, jet_ring):
 
 @dataclass(frozen=True)
 class JetIdeal:
-    """An ideal living in a jet ring, with a note on how it was built."""
+    """An ideal living in a jet ring."""
 
     jet_ring: JetRing
     ideal: Ideal
-    provenance: str
 
 
 def jet_ideal(I, m):
@@ -184,7 +183,7 @@ def jet_ideal(I, m):
     gens = []
     for g in I.gens:
         gens.extend(t_expand(g, m))
-    return JetIdeal(jr, Ideal(jr.ring, tuple(gens)), f"jet scheme, level {m}")
+    return JetIdeal(jr, Ideal(jr.ring, tuple(gens)))
 
 
 @dataclass(frozen=True)
@@ -252,10 +251,7 @@ def contact_ideal(clauses, m, point=None):
         closed = [g.set_vars_zero(level0) for g in closed]
         excluded = [g.set_vars_zero(level0) for g in excluded]
         closed.extend(jr.ring.var(i) for i in level0)
-    label = " and ".join(
-        f"ord {c.relation} {c.order}" for c in clauses
-    ) + (" through the point" if point is not None else "")
-    return JetIdeal(jr, Ideal(jr.ring, tuple(closed)), label), excluded
+    return JetIdeal(jr, Ideal(jr.ring, tuple(closed))), excluded
 
 
 def jacobian_ideal(I, c):
@@ -339,19 +335,8 @@ def contact_cell_dim(X, jac, e, level, image_level, extra=(), point=None, budget
     and satisfy the `extra` contact clauses (through `point` when given).
     Deeper-than-e Jacobian contact is removed by saturation, one excluded
     coefficient at a time, and the image is truncated by elimination.
-    Returns -1 when the cell is empty.
-
-    Emptiness is monotone in the level.  Take L' <= level with e <= L'
-    and every `extra` order at most L' + 1.  Truncating a level-`level`
-    jet of the cell to level L' gives a jet of the level-L' cell with the
-    same e, `extra` and `point`: the t^k coefficient of an arc expansion
-    depends only on jet levels <= k, and every clause at level L' reads
-    coefficients k <= L' only (ord X >= L' + 1 reads t^0..t^L', ord jac
-    == e reads t^0..t^e, an extra ord >= c reads t^0..t^(c-1)).  So an
-    empty level-L' cell forces every higher-level cell to be empty: the
-    truncation argument behind the Denef-Loeser lifting lemma.  Emptiness
-    is a property of the cell alone; `image_level` only sets where its
-    image is measured, and plays no part in it.
+    Returns -1 when the cell is empty; emptiness is monotone in the level
+    (see contact_cell_walk).
     """
     clauses = [ContactClause(X, ">=", level + 1), ContactClause(jac, "==", e), *extra]
     closed, excluded = contact_ideal(clauses, level, point=point)
@@ -365,13 +350,13 @@ def contact_cell_dim(X, jac, e, level, image_level, extra=(), point=None, budget
     return best
 
 
-def liftable_image_dim(I, point, m, e, jacobian=None, budget=None, extra_levels=0):
+def liftable_image_dim(I, point, m, e, jacobian=None, budget=None):
     """Dimension of the level-m image of jets through `point` that lift
     far enough and meet the Jacobian ideal with contact exactly e.
 
-    Builds the cell at working level max(m, e) + e (+ extra_levels, for
-    stability testing) and measures its level-m image; see
-    contact_cell_dim.  Returns -1 when the locus is empty.
+    Builds the cell at working level max(m, e) + e and measures its
+    level-m image; see contact_cell_dim.  Returns -1 when the locus is
+    empty.
     """
     if m < 1:
         raise PreconditionError("jet level m must be at least 1")
@@ -379,8 +364,43 @@ def liftable_image_dim(I, point, m, e, jacobian=None, budget=None, extra_levels=
         raise PreconditionError("contact order e must be non-negative")
     check_point_on(I, point)
     jac = jacobian if jacobian is not None else jacobian_ideal(I, len(I.gens))
-    level = max(m, e) + e + extra_levels
-    return contact_cell_dim(I, jac, e, level, m, point=point, budget=budget)
+    return contact_cell_dim(I, jac, e, max(m, e) + e, m, point=point, budget=budget)
+
+
+def contact_cell_walk(cell):
+    """Walk the Jacobian-contact cells (m, e) of a table, row by row.
+
+    `cell(m, e)` computes one cell with contact_cell_dim and returns its
+    dimension, -1 when empty.  Returns row(m, orders), a generator of
+    (e, dim) for e in `orders`; rows must come in increasing m.
+
+    Dead contact orders.  Take L' <= L with e <= L' and every `extra`
+    order at most L' + 1.  Truncating a level-L jet of a cell to level L'
+    gives a jet of the level-L' cell with the same e, `extra` and point:
+    the t^k coefficient of an arc expansion depends only on jet levels
+    <= k, and every clause at level L' reads coefficients k <= L' only
+    (ord X >= L' + 1 reads t^0..t^L', ord jac == e reads t^0..t^e, an
+    extra ord >= c reads t^0..t^(c-1)).  So emptiness is monotone in the
+    level, whatever the image level: the truncation argument behind the
+    Denef-Loeser lifting lemma.  `cell` must keep, for each e, a working
+    level that never drops as m grows and `extra` clauses that only get
+    stronger; then an empty cell (m, e) makes every later (m', e) empty,
+    and later rows yield (e, -1) without computing it.  Only a cell that
+    returns -1 marks e dead; one that raises marks nothing.
+    """
+    dead = set()
+
+    def row(m, orders):
+        for e in orders:
+            if e in dead:
+                yield e, -1
+                continue
+            d = cell(m, e)
+            if d == -1:
+                dead.add(e)
+            yield e, d
+
+    return row
 
 
 @dataclass(frozen=True)
@@ -413,13 +433,8 @@ def lambda_sequence(I, point, m_max, e_max=3, budget=None):
 
     Each row scans Jacobian-contact cells e = 0..e_max, stops early when a
     cell reaches the ceiling m*n, and otherwise probes e_max + 1 to decide
-    convergence.  Rows run serially in level order.
-
-    Dead contact orders: once a computed cell (m, e) is empty, the cell
-    (m', e) is empty for every m' > m (its working level max(m', e) + e
-    is no lower; see contact_cell_dim), so later rows report (e, -1)
-    without computing it.  Only a completed computation marks e dead; a
-    cell interrupted by BudgetExhausted or AgreementError marks nothing.
+    convergence.  Rows run serially in level order; a cell proved empty
+    is not computed again in later rows (see contact_cell_walk).
     """
     if m_max < 1:
         raise PreconditionError("m_max must be at least 1")
@@ -432,60 +447,37 @@ def lambda_sequence(I, point, m_max, e_max=3, budget=None):
         raise PreconditionError(f"variety dimension is {n}; need a positive-dimensional variety")
     jac = jacobian_ideal(I, len(I.gens))
     singular_dim = (I + jac).krull_dimension(budget).dimension
-
-    dead = set()  # contact orders whose cell was proved empty at a lower row
-
-    def cell(m, e):
-        if e in dead:
-            return -1
-        d = liftable_image_dim(I, point, m, e, jacobian=jac, budget=budget)
-        if d > m * n:
-            raise AgreementError(
-                f"cell (m={m}, e={e}) has dimension {d} > {m * n}; this contradicts "
-                "the fiber-dimension bound and signals a bug"
-            )
-        if d == -1:
-            dead.add(e)
-        return d
+    walk = contact_cell_walk(
+        lambda m, e: liftable_image_dim(I, point, m, e, jacobian=jac, budget=budget)
+    )
 
     def row(m):
         target = m * n
         cells = []
         best = -1
-        converged = False
-        note = ""
+        gained = False  # the probe cell e_max + 1 raised the maximum
         try:
-            stopped_early = False
-            for e in range(e_max + 1):
-                d = cell(m, e)
+            for e, d in walk(m, range(e_max + 2)):
+                if d > target:
+                    raise AgreementError(
+                        f"cell (m={m}, e={e}) has dimension {d} > {target}; this "
+                        "contradicts the fiber-dimension bound and signals a bug"
+                    )
                 cells.append((e, d))
-                if d > best:
-                    best = d
+                gained = e > e_max and d > best
+                best = max(best, d)
                 if best == target:
-                    converged = True
-                    stopped_early = True
                     break
-            if not stopped_early:
-                probe = cell(m, e_max + 1)
-                cells.append((e_max + 1, probe))
-                if probe > best:
-                    best = probe
-                    converged = False
-                    note = "probe cell improved the maximum; raise e_max"
-                else:
-                    converged = best > -1
-                    if best == -1:
-                        note = "no liftable jets found at any probed contact order"
         except BudgetExhausted as exc:
-            return LambdaRow(
-                m,
-                target - best if best >= 0 else None,
-                tuple(cells),
-                False,
-                f"budget exhausted: {exc}",
-            )
+            note = f"budget exhausted: {exc}"
+        else:
+            note = ""
+            if gained:
+                note = "probe cell improved the maximum; raise e_max"
+            elif best == -1:
+                note = "no liftable jets found at any probed contact order"
         value = target - best if best >= 0 else None
-        return LambdaRow(m, value, tuple(cells), converged, note)
+        return LambdaRow(m, value, tuple(cells), not note, note)
 
     rows = tuple(row(m) for m in range(1, m_max + 1))
 

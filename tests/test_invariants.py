@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import jetspace.invariants as invariants
 from jetspace.errors import PreconditionError
 from jetspace.groebner import Ideal, gcd_poly, lcm_poly
 from jetspace.invariants import (
@@ -299,6 +300,26 @@ def test_lct_on_singular_ambient_skipped_cells_match_direct_computation():
                 expected.append((e, (s + 1) - d))  # the cusp is a curve: n = 1
         # empty cells are absent, every other cell carries its direct codim
         assert row.cells == tuple(expected)
+
+
+def test_lct_on_singular_ambient_computes_each_empty_cell_once(monkeypatch):
+    calls = []
+    real = invariants.contact_cell_dim
+
+    def counting(X, jac, e, *args, **kwargs):
+        calls.append(e)
+        return real(X, jac, e, *args, **kwargs)
+
+    monkeypatch.setattr(invariants, "contact_cell_dim", counting)
+    table = lct_hat_bound(ideal(R2, "x", "y"), 4, on=ideal(R2, "x^2 - y^3"), e_max=3)
+    # row 1 proves e = 0, 1, 2 empty; rows 2 and 3 compute e = 3 alone, and
+    # once it is empty at row 3, row 4 computes nothing (16 cells otherwise)
+    assert calls == [0, 1, 2, 3, 3, 3]
+    assert [r.cells for r in table.rows] == [((3, 2),), ((3, 2),), (), ()]
+    assert table.notes == (
+        "row m=3 skipped: no liftable contact found",
+        "row m=4 skipped: no liftable contact found",
+    )
 
 
 def test_mld_bound_smooth_plane():

@@ -1,12 +1,16 @@
 """Jet rings, truncated expansion, contact loci, liftable-image dims."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 import jetspace.jets as jets
-from jetspace.errors import BudgetExhausted, PreconditionError
+from jetspace.errors import AgreementError, BudgetExhausted, PreconditionError
 from jetspace.groebner import Budget, Ideal
 from jetspace.jets import (
     ContactClause,
@@ -377,11 +381,12 @@ def test_liftable_requires_point_on_variety():
 
 
 def test_liftable_extra_levels_stable():
-    # demanding even deeper liftability must not change the answer
+    # demanding even deeper liftability must not change the answer: the
+    # level-2 image of the (m=2, e=1) cell, built at level 5 instead of 3
     node = ideal(R2, "x*y")
     origin = (Fraction(0), Fraction(0))
     base = liftable_image_dim(node, origin, 2, 1)
-    deeper = liftable_image_dim(node, origin, 2, 1, extra_levels=2)
+    deeper = contact_cell_dim(node, jacobian_ideal(node, 1), 1, 5, 2, point=origin)
     assert base == deeper == 2
 
 
@@ -492,6 +497,52 @@ def test_lambda_interrupted_cell_is_not_marked_dead(monkeypatch):
     assert (2, 2) in calls
     assert (2, 0) not in calls and (2, 1) not in calls
     assert report.rows[1].cells == ((0, -1), (1, -1), (2, -1), (3, -1), (4, -1))
+
+
+def test_lambda_cell_above_the_ceiling_raises(monkeypatch):
+    # a cell of dimension above m*n contradicts the fiber-dimension bound
+    monkeypatch.setattr(jets, "liftable_image_dim", lambda I, point, m, e, **kwargs: m + 1)
+    with pytest.raises(AgreementError, match=r"cell \(m=1, e=0\) has dimension 2 > 1;"):
+        lambda_sequence(ideal(R2, "x^2 - y^3"), (0, 0), 1, e_max=3)
+
+
+def test_benchmark_tracer_sees_the_cells(tmp_path):
+    """The benchmark's tracer wraps the cell functions at their module
+    bindings; the row walks must keep calling them through those names."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("JETSPACE_")}
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    script = (
+        "import importlib, sys\n"
+        "sys.path.insert(0, 'perfbench')\n"
+        "import tracer\n"
+        "for module, owner, attr, _ in tracer.TARGETS:\n"
+        "    obj = importlib.import_module(module)\n"
+        "    getattr(getattr(obj, owner) if owner else obj, attr)\n"
+        "print(len(tracer.TARGETS))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, capture_output=True, text=True,
+        env=env, timeout=60,
+    )
+    assert proc.returncode == 0 and int(proc.stdout) > 0, proc.stderr
+
+    def traced(name):
+        spec = {"argv": ["corpus", name], "trace": str(tmp_path / f"{name}.jsonl"),
+                "label": name}
+        proc = subprocess.run(
+            [sys.executable, os.path.join("perfbench", "child.py")], cwd=root,
+            input=json.dumps(spec), capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stdout, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["code"] == 0 and result["error"] is None, (proc.stderr, result["error"])
+        return result["counters"]
+
+    assert traced("cusp")["jets.liftable_image_dim.calls"] == 7
+    lct = traced("cusp-lct")
+    assert lct["jets.image_dimension.calls"] == 10
+    assert lct["jets.cell_level.max"] == 6
 
 
 @pytest.mark.parametrize(
