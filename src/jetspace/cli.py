@@ -26,9 +26,6 @@ the usage and `jetspace: error: ...` to stderr, nothing to stdout, and
 exits 2 (SystemExit from `main`, before any report is built).
 """
 
-from __future__ import annotations
-
-import os
 import re
 import sys
 import time
@@ -167,14 +164,6 @@ def _int(minimum, default=None):
     return read
 
 
-def _bool(doc, key):
-    """true or false; true when absent."""
-    value = doc.params.get(key, "true")
-    if value not in ("true", "false"):
-        raise ParseError(f"parameter {key} must be true or false")
-    return value == "true"
-
-
 def _lookup(doc, name):
     if name not in doc.ideals:
         raise ParseError(f"unknown ideal {name!r}")
@@ -303,8 +292,8 @@ def _tangent_cone(budget, ideal, point):
     return human, data, False
 
 
-def _check_main(budget, ideal, point, e_max, cross_check):
-    report = check_mld_hat_equals_n(ideal, point, cross_check, e_max, budget)
+def _check_main(budget, ideal, point, e_max):
+    report = check_mld_hat_equals_n(ideal, point, e_max, budget)
     jet = report.lambda_report
     human = [f"variety dimension n: {report.n}"]
     human += _numbered("tangent cone generator", report.cone.ideal.gens)
@@ -312,8 +301,7 @@ def _check_main(budget, ideal, point, e_max, cross_check):
     human.append(f"cone verdict: {_fmt(report.cone_verdict)}")
     if report.cone_certificate is not None:
         human.append(f"cone certificate: {report.cone_certificate}")
-    if jet is not None:
-        human.append(_lambda_row("jet row m=1", jet.rows[0]))
+    human.append(_lambda_row("jet row m=1", jet.rows[0]))
     human.append(f"jet verdict: {_fmt(report.lambda_verdict)}")
     human.append(f"overall verdict: {_fmt(report.verdict)}")
     human.append(f"agreement: {_fmt(report.agreement)}")
@@ -322,12 +310,12 @@ def _check_main(budget, ideal, point, e_max, cross_check):
         "n": report.n,
         "cone_status": report.cone_status,
         "cone_verdict": _fmt(report.cone_verdict),
-        "lambda_1": _fmt(jet.rows[0].value if jet is not None else None),
+        "lambda_1": _fmt(jet.rows[0].value),
         "lambda_verdict": _fmt(report.lambda_verdict),
         "verdict": _fmt(report.verdict),
         "agreement": _fmt(report.agreement),
     }
-    return human, data, jet is not None and jet.budget_hit and report.verdict is None
+    return human, data, jet.budget_hit and report.verdict is None
 
 
 def _lambda(budget, ideal, point, m_max, e_max):
@@ -416,10 +404,7 @@ COMMANDS = {
     "jets": (_jets, {"ideal": _ideal, "m": _int(0)}),
     "dim": (_dim, {"ideal": _ideal}),
     "tangent-cone": (_tangent_cone, {"ideal": _ideal, "point": _point_or_origin}),
-    "check-main": (
-        _check_main,
-        {"ideal": _ideal, "point": _point, "e_max": _int(0, 3), "cross_check": _bool},
-    ),
+    "check-main": (_check_main, {"ideal": _ideal, "point": _point, "e_max": _int(0, 3)}),
     "lambda": (
         _lambda,
         {"ideal": _ideal, "point": _point, "m_max": _int(1), "e_max": _int(0, 3)},
@@ -469,17 +454,10 @@ def _error_report(status, message):
 
 
 def _resolve_budget(doc, flags):
-    """Defaults, then the file's budget line, then JETSPACE_MAX_PAIRS and
-    JETSPACE_MAX_DEGREE, then the command-line flags."""
+    """Defaults, then the file's budget line, then the command-line flags."""
     caps = {}
     for key in ("max_pairs", "max_degree"):
         caps[key] = doc.budget_overrides.get(key, getattr(DEFAULT_BUDGET, key))
-        env = f"JETSPACE_{key.upper()}"
-        if env in os.environ:
-            try:
-                caps[key] = int(os.environ[env])
-            except ValueError:
-                raise ParseError(f"environment variable {env} must be an integer")
         if key in flags:
             caps[key] = flags[key]
     if min(caps.values()) < 1:

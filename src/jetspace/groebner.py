@@ -48,9 +48,7 @@ degrees.  Exceeding either cap raises BudgetExhausted instead of returning
 a partial basis.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -63,12 +61,8 @@ from .orders import GREVLEX, Block
 from .poly import Polynomial, Ring, divide_exact, fresh_name, map_variables
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Caps for a single Groebner basis run."""
-
-    max_pairs: int = 200_000
-    max_degree: int = 64
+# Caps for a single Groebner basis run.
+Budget = namedtuple("Budget", "max_pairs max_degree", defaults=(200_000, 64))
 
 
 DEFAULT_BUDGET = Budget()
@@ -461,12 +455,8 @@ def normal_form(poly, basis_polys, order=GREVLEX, budget=None):
     return _to_polynomial(poly.ring, nf, mono, scale * den)
 
 
-@dataclass(frozen=True)
-class DimensionResult:
-    """Krull dimension plus a witnessing independent set of variables."""
-
-    dimension: int
-    independent_set: tuple
+# Krull dimension plus a witnessing independent set of variables.
+DimensionResult = namedtuple("DimensionResult", "dimension independent_set")
 
 
 def _min_hitting_set(supports, nvars):
@@ -477,11 +467,7 @@ def _min_hitting_set(supports, nvars):
     """
     sups = sorted({frozenset(s) for s in supports}, key=lambda s: (len(s), sorted(s)))
     # discard supersets: hitting a subset hits the superset
-    minimal = []
-    for s in sups:
-        if not any(t < s for t in sups if t != s):
-            if not any(t == s for t in minimal):
-                minimal.append(s)
+    minimal = [s for s in sups if not any(t < s for t in sups)]
     best = [list(range(nvars))]  # worst case: all variables
 
     def lower_bound(remaining):

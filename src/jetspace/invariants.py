@@ -17,9 +17,7 @@ genuinely differ (two smooth branches meeting tangentially have a
 non-reduced cone but maximal jet dimension).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
@@ -39,14 +37,11 @@ from .orders import GREVLEX, Weight
 from .poly import Polynomial, Ring, divide_exact, fresh_name
 
 
-@dataclass(frozen=True)
-class TangentCone:
-    """The cone of initial forms of an ideal at a (translated) point."""
-
-    point: object  # tuple of coordinates, or None for the origin
-    ideal: Ideal  # generated by initial forms, canonically presented
-    principal: bool
-    generator: object  # the single reduced generator when principal, else None
+# The cone of initial forms of an ideal at a (translated) point.
+# point: tuple of coordinates, or None for the origin
+# ideal: generated by initial forms, canonically presented
+# generator: the single reduced generator when principal, else None
+TangentCone = namedtuple("TangentCone", "point ideal principal generator")
 
 
 def tangent_cone(I, point=None, budget=None):
@@ -113,32 +108,29 @@ def has_multiplicity_one_factor(f, budget=None):
     return (not certificate.is_constant(), certificate)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    """Outcome of the two-route maximal-discrepancy test at a point."""
-
-    point: tuple
-    n: int
-    cone: TangentCone
-    cone_status: str  # "decided" or "undecided-nonprincipal"
-    cone_verdict: object  # bool, or None when the cone route is undecided
-    cone_certificate: object
-    lambda_report: object  # LambdaReport, or None when cross-checking is off
-    lambda_verdict: object  # bool, or None when unavailable
-    verdict: object  # bool, or None if neither route decided
-    agreement: object  # bool when both routes answered, else None
-    notes: tuple
+# Outcome of the two-route maximal-discrepancy test at a point.
+# cone_status: "decided" or "undecided-nonprincipal"
+# cone_verdict: bool, or None when the cone route is undecided
+# lambda_report: the LambdaReport of the jet row m=1
+# lambda_verdict: bool, or None when the jet row did not converge
+# verdict: bool, or None when the routes leave the question open
+# agreement: bool when both routes answered, else None
+InvariantReport = namedtuple(
+    "InvariantReport",
+    "point n cone cone_status cone_verdict cone_certificate lambda_report "
+    "lambda_verdict verdict agreement notes",
+)
 
 
-def check_mld_hat_equals_n(I, point, cross_check=True, e_max=3, budget=None):
+def check_mld_hat_equals_n(I, point, e_max=3, budget=None):
     """Decide whether the maximal Mather log discrepancy at `point`
     equals the dimension of V(I).
 
-    Runs the tangent-cone test, and (by default, or whenever the cone is
-    not principal) the jet test.  For n >= 2 a disagreement between the
-    two routes is an internal error and raises AgreementError.  For
-    curves the cone test is not a valid criterion, so the jet route wins
-    and a note records any divergence.
+    Runs the tangent-cone test and the jet test.  For n >= 2 a
+    disagreement between the two routes is an internal error and raises
+    AgreementError.  For curves the cone test is not a valid criterion,
+    so the verdict is the jet route's, None when its row did not
+    converge, and a note records any divergence.
     """
     point = tuple(point)
     check_point_on(I, point)
@@ -162,15 +154,13 @@ def check_mld_hat_equals_n(I, point, cross_check=True, e_max=3, budget=None):
             "would need factorization, deferring to the jet route"
         )
 
-    lambda_report = None
+    lambda_report = lambda_sequence(I, point, 1, e_max=e_max, budget=budget)
+    row = lambda_report.rows[0]
     lambda_verdict = None
-    if cross_check or cone_verdict is None:
-        lambda_report = lambda_sequence(I, point, 1, e_max=e_max, budget=budget)
-        row = lambda_report.rows[0]
-        if row.converged and row.value is not None:
-            lambda_verdict = row.value == 0
-        else:
-            notes.append("jet route did not converge; its verdict is unavailable")
+    if row.converged and row.value is not None:
+        lambda_verdict = row.value == 0
+    else:
+        notes.append("jet route did not converge; its verdict is unavailable")
 
     agreement = None
     if cone_verdict is not None and lambda_verdict is not None:
@@ -188,12 +178,7 @@ def check_mld_hat_equals_n(I, point, cross_check=True, e_max=3, budget=None):
             )
 
     if n == 1:
-        verdict = lambda_verdict if lambda_verdict is not None else cone_verdict
-        if lambda_verdict is None and cone_verdict is not None:
-            notes.append(
-                "curve verdict rests on the cone test alone, which is only "
-                "a proven criterion in dimension >= 2"
-            )
+        verdict = lambda_verdict
     else:
         verdict = cone_verdict if cone_verdict is not None else lambda_verdict
     return InvariantReport(
@@ -211,25 +196,18 @@ def check_mld_hat_equals_n(I, point, cross_check=True, e_max=3, budget=None):
     )
 
 
-@dataclass(frozen=True)
-class ThresholdRow:
-    m: int
-    codim: object  # int, or None for a skipped (empty) row
-    ratio: object  # Fraction codim/m, or None
-    cells: tuple  # ((e, codim_e), ...) on a singular ambient; () on smooth
-    note: str = ""
+# codim: int, or None for a skipped (empty) row
+# ratio: Fraction codim/m, or None
+# cells: ((e, codim_e), ...) on a singular ambient; () on smooth
+ThresholdRow = namedtuple("ThresholdRow", "m codim ratio cells note", defaults=("",))
 
 
-@dataclass(frozen=True)
-class BoundTable:
-    """The rows of an lct or mld bound window and the bound they give."""
-
-    M: int
-    rows: tuple  # ThresholdRow or MldRow
-    bound: object  # Fraction, or None when every row was empty
-    argmin: object  # first m (lct) or index tuple (mld) attaining the bound
-    exact: bool  # True when the minimizer is interior to the window
-    notes: tuple
+# The rows of an lct or mld bound window and the bound they give.
+# rows: ThresholdRow or MldRow
+# bound: Fraction, or None when every row was empty
+# argmin: first m (lct) or index tuple (mld) attaining the bound
+# exact: True when the minimizer is interior to the window
+BoundTable = namedtuple("BoundTable", "M rows bound argmin exact notes")
 
 
 def _bound_table(M, rows, entry, interior):
@@ -315,12 +293,10 @@ def lct_hat_bound(a, M, on=None, e_max=3, budget=None):
     return _bound_table(M, rows, lambda r: (r.m, r.ratio), lambda m: m < M)
 
 
-@dataclass(frozen=True)
-class MldRow:
-    indices: tuple  # one contact order per weighted ideal
-    codim: object  # int, or None for a skipped row
-    value: object  # Fraction codim - sum(m_i e_i), or None
-    note: str = ""
+# indices: one contact order per weighted ideal
+# codim: int, or None for a skipped row
+# value: Fraction codim - sum(m_i e_i), or None
+MldRow = namedtuple("MldRow", "indices codim value note", defaults=("",))
 
 
 def mld_hat_bound(ring, clauses, center, M, budget=None):
@@ -370,11 +346,7 @@ def mld_hat_bound(ring, clauses, center, M, budget=None):
     )
 
 
-@dataclass(frozen=True)
-class BlowupResult:
-    vanishing_order: int
-    k_exceptional: int
-    log_discrepancy: int
+BlowupResult = namedtuple("BlowupResult", "vanishing_order k_exceptional log_discrepancy")
 
 
 def ord_blowup_origin(I):

@@ -14,9 +14,7 @@ arc-expansion caches are bounded LRU caches, sized far above the working
 set of any single command.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -169,12 +167,8 @@ def pad_to_jet_ring(poly, jet_ring):
     return Polynomial(big, {e + (0,) * pad: c for e, c in poly.terms.items()})
 
 
-@dataclass(frozen=True)
-class JetIdeal:
-    """An ideal living in a jet ring."""
-
-    jet_ring: JetRing
-    ideal: Ideal
+# An ideal living in a jet ring.
+JetIdeal = namedtuple("JetIdeal", "jet_ring ideal")
 
 
 def jet_ideal(I, m):
@@ -186,22 +180,20 @@ def jet_ideal(I, m):
     return JetIdeal(jr, Ideal(jr.ring, tuple(gens)))
 
 
-@dataclass(frozen=True)
-class ContactClause:
+class ContactClause(namedtuple("ContactClause", "ideal relation order")):
     """One contact condition: ord along the arc of every element of
     `ideal`, compared with `order` via `relation` (">=" or "==")."""
 
-    ideal: Ideal
-    relation: str
-    order: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.relation not in (">=", "=="):
-            raise PreconditionError(f"unknown contact relation {self.relation!r}")
-        if self.order < 0:
+    def __new__(cls, ideal, relation, order):
+        if relation not in (">=", "=="):
+            raise PreconditionError(f"unknown contact relation {relation!r}")
+        if order < 0:
             raise PreconditionError("contact order must be non-negative")
-        if not self.ideal.gens:
+        if not ideal.gens:
             raise PreconditionError("contact clause needs a nonzero ideal")
+        return super().__new__(cls, ideal, relation, order)
 
 
 def contact_ideal(clauses, m, point=None):
@@ -403,29 +395,18 @@ def contact_cell_walk(cell):
     return row
 
 
-@dataclass(frozen=True)
-class LambdaRow:
-    """One jet level of a lambda report."""
-
-    m: int
-    value: object  # int, or None when no cell was nonempty
-    cells: tuple  # ((e, dim), ...) for the contact orders actually used
-    converged: bool
-    note: str = ""
+# One jet level of a lambda report.
+# value: int, or None when no cell was nonempty
+# cells: ((e, dim), ...) for the contact orders actually used
+LambdaRow = namedtuple("LambdaRow", "m value cells converged note", defaults=("",))
 
 
-@dataclass(frozen=True)
-class LambdaReport:
-    point: tuple
-    n: int
-    m_max: int
-    e_max: int
-    rows: tuple
-    stabilized: object  # the stable lambda value, or None
-    mld_hat: object  # n + lambda when stabilized, else None
-    singular_dim: int
-    notes: tuple
-    budget_hit: bool
+# stabilized: the stable lambda value, or None
+# mld_hat: n + lambda when stabilized, else None
+LambdaReport = namedtuple(
+    "LambdaReport",
+    "point n m_max e_max rows stabilized mld_hat singular_dim notes budget_hit",
+)
 
 
 def lambda_sequence(I, point, m_max, e_max=3, budget=None):

@@ -18,8 +18,6 @@ never inspect a ring, so one order object works for any arity; rows(n) and
 weights(n, degree) take the arity explicitly.
 """
 
-from __future__ import annotations
-
 
 class TermOrder:
     """Base class; subclasses implement key(), rows() and tag()."""

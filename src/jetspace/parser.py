@@ -13,8 +13,6 @@ atom restarts expr.  Everything the Polynomial printer emits parses back to
 an equal polynomial.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .errors import ParseError, PreconditionError

@@ -10,8 +10,6 @@ produce identical strings.  The parser in parser.py accepts everything the
 printer emits.
 """
 
-from __future__ import annotations
-
 import re
 from fractions import Fraction
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import jetspace
 import jetspace.invariants as invariants
 from jetspace.errors import PreconditionError
 from jetspace.groebner import Ideal, gcd_poly, lcm_poly
@@ -473,3 +474,60 @@ def test_multiplicity_one_matches_sympy_sqf():
                     expected = expected * from_sympy(factor)
             assert cert == expected.monic(), f
             assert verdict is not expected.is_constant(), f
+
+
+# (record, fields in order, defaults) for every record the package exports
+RECORDS = [
+    ("Budget", "max_pairs max_degree", {"max_pairs": 200_000, "max_degree": 64}),
+    ("DimensionResult", "dimension independent_set", {}),
+    ("JetIdeal", "jet_ring ideal", {}),
+    ("ContactClause", "ideal relation order", {}),
+    ("LambdaRow", "m value cells converged note", {"note": ""}),
+    (
+        "LambdaReport",
+        "point n m_max e_max rows stabilized mld_hat singular_dim notes budget_hit",
+        {},
+    ),
+    ("TangentCone", "point ideal principal generator", {}),
+    (
+        "InvariantReport",
+        "point n cone cone_status cone_verdict cone_certificate lambda_report "
+        "lambda_verdict verdict agreement notes",
+        {},
+    ),
+    ("ThresholdRow", "m codim ratio cells note", {"note": ""}),
+    ("BoundTable", "M rows bound argmin exact notes", {}),
+    ("MldRow", "indices codim value note", {"note": ""}),
+    ("BlowupResult", "vanishing_order k_exceptional log_discrepancy", {}),
+]
+
+
+@pytest.mark.parametrize("name, fields, defaults", RECORDS, ids=[r[0] for r in RECORDS])
+def test_exported_record_shape(name, fields, defaults):
+    """Each record builds by keyword, fills its defaults, compares by value,
+    shows its fields in order in its repr, and cannot be assigned to."""
+    cls = getattr(jetspace, name)
+    assert name in jetspace.__all__
+    fields = fields.split()
+    if name == "ContactClause":
+        values = {"ideal": ideal(R2, "x"), "relation": ">=", "order": 1}
+    else:
+        values = {f: f"<{f}>" for f in fields if f not in defaults}
+    record = cls(**values)
+    expected = {**defaults, **values}
+    assert repr(record) == f"{name}(" + ", ".join(f"{f}={expected[f]!r}" for f in fields) + ")"
+    assert record == cls(**values)
+    for f in fields:
+        assert getattr(record, f) == expected[f]
+        with pytest.raises(AttributeError):
+            setattr(record, f, None)
+        if f not in defaults:
+            with pytest.raises(TypeError):
+                cls(**{k: v for k, v in values.items() if k != f})
+    if name == "ContactClause":
+        with pytest.raises(PreconditionError, match="unknown contact relation"):
+            cls(ideal(R2, "x"), ">", 1)
+        with pytest.raises(PreconditionError, match="non-negative"):
+            cls(ideal(R2, "x"), ">=", -1)
+        with pytest.raises(PreconditionError, match="nonzero ideal"):
+            cls(Ideal(R2, ()), ">=", 1)
