@@ -253,15 +253,17 @@ def _lambda_row(label, row):
     )
 
 
-def _bound_summary(table, fmt_argmin):
-    """The bound line and notes closing an lct or mld table, and its data."""
+def _bound_summary(table, fmt_argmin, on_edge):
+    """The bound line and notes closing an lct or mld table, and its data;
+    a bound not exact reads "window edge" if on_edge(argmin), else "not proven"."""
     argmin = "none" if table.argmin is None else fmt_argmin(table.argmin)
     data = {"M": table.M, "bound": _fmt(table.bound), "argmin": argmin,
             "exact": _fmt(table.exact)}
     if table.bound is None:
         line = "bound: none (every row was empty)"
     else:
-        line = f"bound: {table.bound} at m={argmin} ({'exact' if table.exact else 'window edge'})"
+        label = "exact" if table.exact else "window edge" if on_edge(table.argmin) else "not proven"
+        line = f"bound: {table.bound} at m={argmin} ({label})"
     return [line] + _notes(table.notes), data
 
 
@@ -346,7 +348,7 @@ def _lambda(budget, ideal, point, m_max, e_max):
 
 def _lct_bound(budget, on, ideal, M, e_max):
     table = lct_hat_bound(ideal, M, on=on, e_max=e_max, budget=budget)
-    tail, data = _bound_summary(table, str)
+    tail, data = _bound_summary(table, str, lambda m: m == M)
     human = []
     for row in table.rows:
         if row.codim is None:
@@ -366,7 +368,7 @@ def _lct_bound(budget, on, ideal, M, e_max):
 def _mld_bound(budget, clauses, center, M):
     # every declared ideal lives in the document's ring
     table = mld_hat_bound(center.ring, clauses, center, M, budget)
-    tail, data = _bound_summary(table, _fmt_indices)
+    tail, data = _bound_summary(table, _fmt_indices, lambda indices: M in indices)
     human = []
     for i, row in enumerate(table.rows):
         data[f"row.{i}.indices"] = _fmt_indices(row.indices)

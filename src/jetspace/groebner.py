@@ -563,12 +563,6 @@ class Ideal:
         if k == 0:
             return self
         target = Ring(self.ring.names[k:])
-        if k == self.ring.ngens:
-            # everything eliminated: constants only
-            gb = self.groebner_basis(GREVLEX, budget)
-            if any(g.is_constant() for g in gb):
-                return Ideal(target, (target.one(),))
-            return Ideal(target, ())
         order = Block(k, GREVLEX)
         gb = reduced_groebner(self.gens, order, budget)
         index_map = {i + k: i for i in range(self.ring.ngens - k)}

@@ -1,5 +1,6 @@
 """Tangent cones, the reduced-component test, and jet-theoretic bounds
-for log-canonical-threshold and minimal-log-discrepancy style invariants.
+for log-canonical-threshold and minimal-log-discrepancy style invariants,
+each row and cell of their tables one jets.contact_cell_dim call.
 
 The headline decision procedure, check_mld_hat_equals_n, answers whether
 the Mather-style minimal log discrepancy at a point equals the variety's
@@ -28,9 +29,7 @@ from .jets import (
     check_point_on,
     contact_cell_dim,
     contact_cell_walk,
-    contact_ideal,
-    jacobian_ideal,
-    jet_ideal,
+    jacobian_of,
     lambda_sequence,
 )
 from .orders import GREVLEX, Weight
@@ -206,7 +205,7 @@ ThresholdRow = namedtuple("ThresholdRow", "m codim ratio cells note", defaults=(
 # rows: ThresholdRow or MldRow
 # bound: Fraction, or None when every row was empty
 # argmin: first m (lct) or index tuple (mld) attaining the bound
-# exact: True when the minimizer is interior to the window
+# exact: True when the minimizer is interior to a smooth-ambient window
 BoundTable = namedtuple("BoundTable", "M rows bound argmin exact notes")
 
 
@@ -245,7 +244,8 @@ def lct_hat_bound(a, M, on=None, e_max=3, budget=None):
     codimension is measured against the expected jet dimension of X.
     Cell (m, e) sits at working level max(m - 1, e) + e and is measured
     at level max(m - 1, e).  Empty cells are left out of `cells`, and
-    are not computed again in later rows (see contact_cell_walk).
+    are not computed again in later rows (see contact_cell_walk).  The
+    scan stops at e_max, so such a table is never exact.
     """
     if M < 1:
         raise PreconditionError("window M must be at least 1")
@@ -257,11 +257,8 @@ def lct_hat_bound(a, M, on=None, e_max=3, budget=None):
     if on is None:
         N = a.ring.ngens
         for m in range(1, M + 1):
-            J = jet_ideal(a, m - 1)
-            dim = J.ideal.krull_dimension(budget).dimension
-            if dim < 0:
-                rows.append(ThresholdRow(m, None, None, (), "empty contact locus"))
-                continue
+            # never empty: a constant arc at a point of V(a) has every order
+            dim = contact_cell_dim([ContactClause(a, ">=", m)], m - 1, m - 1, budget=budget)
             codim = N * m - dim
             rows.append(ThresholdRow(m, codim, Fraction(codim, m), ()))
     else:
@@ -271,12 +268,13 @@ def lct_hat_bound(a, M, on=None, e_max=3, budget=None):
         n = X.krull_dimension(budget).dimension
         if n < 1:
             raise PreconditionError(f"ambient variety dimension is {n}")
-        jac = jacobian_ideal(X, len(X.gens))
+        jac = jacobian_of(X, budget)
 
         def cell(m, e):
             s = max(m - 1, e)
-            contact = (ContactClause(a, ">=", m),)
-            return contact_cell_dim(X, jac, e, s + e, s, extra=contact, budget=budget)
+            clauses = (ContactClause(X, ">=", s + e + 1), ContactClause(jac, "==", e),
+                       ContactClause(a, ">=", m))
+            return contact_cell_dim(clauses, s + e, s, budget=budget)
 
         walk = contact_cell_walk(cell)
         for m in range(1, M + 1):
@@ -290,7 +288,7 @@ def lct_hat_bound(a, M, on=None, e_max=3, budget=None):
                 continue
             best = min(codim for _, codim in cells)
             rows.append(ThresholdRow(m, best, Fraction(best, m), cells))
-    return _bound_table(M, rows, lambda r: (r.m, r.ratio), lambda m: m < M)
+    return _bound_table(M, rows, lambda r: (r.m, r.ratio), lambda m: on is None and m < M)
 
 
 # indices: one contact order per weighted ideal
@@ -333,8 +331,7 @@ def mld_hat_bound(ring, clauses, center, M, budget=None):
         for (ideal_i, _), m in zip(weighted, indices):
             if m >= 1:
                 contact.append(ContactClause(ideal_i, ">=", m))
-        closed, _ = contact_ideal(contact, p)
-        dim = closed.ideal.krull_dimension(budget).dimension
+        dim = contact_cell_dim(contact, p, p, budget=budget)
         if dim < 0:
             rows.append(MldRow(indices, None, None, "empty contact locus"))
             continue

@@ -1,5 +1,5 @@
 """Jet rings, truncated arc expansion, contact loci, and the dimensions
-of liftable-jet images.
+of their images: contact_cell_dim, the one measurement under every table.
 
 A level-m jet ring adjoins variables name__j for every base variable and
 every level 0 <= j <= m, in level-major order: all level-0 variables
@@ -172,12 +172,12 @@ JetIdeal = namedtuple("JetIdeal", "jet_ring ideal")
 
 
 def jet_ideal(I, m):
-    """Equations of the m-jet scheme of V(I)."""
+    """Equations of the m-jet scheme of V(I): the closed part of the
+    contact condition ord(I) >= m + 1 at jet level m."""
     jr = get_jet_ring(I.ring, m)
-    gens = []
-    for g in I.gens:
-        gens.extend(t_expand(g, m))
-    return JetIdeal(jr, Ideal(jr.ring, tuple(gens)))
+    if not I.gens:
+        return JetIdeal(jr, Ideal(jr.ring, ()))
+    return contact_ideal([ContactClause(I, ">=", m + 1)], m)[0]
 
 
 class ContactClause(namedtuple("ContactClause", "ideal relation order")):
@@ -278,6 +278,13 @@ def jacobian_ideal(I, c):
     return Ideal(I.ring, tuple(minors))
 
 
+def jacobian_of(X, budget=None):
+    """Jacobian ideal of V(X): the c x c minors for c = codim V(X), read off
+    X's Krull dimension (c is X's generator count only for a complete
+    intersection)."""
+    return jacobian_ideal(X, X.ring.ngens - X.krull_dimension(budget).dimension)
+
+
 def image_dimension(closed, jet_ring, image_level, saturator=None, budget=None):
     """Dimension of the closure of the image, in the level-`image_level`
     jet space, of V(closed) minus V(saturator).
@@ -318,45 +325,39 @@ def check_point_on(I, point):
         raise PreconditionError("point does not lie on the variety")
 
 
-def contact_cell_dim(X, jac, e, level, image_level, extra=(), point=None, budget=None):
-    """Dimension of the level-`image_level` image of one Jacobian-contact
-    cell of X.
+def contact_cell_dim(clauses, level, image_level, point=None, budget=None):
+    """Dimension of the level-`image_level` image of the locus that the
+    contact `clauses` cut out at jet level `level` (through `point` when
+    given); -1 when it is empty.
 
-    The cell is the locus, at jet level `level`, of jets that lift to
-    level + 1 on X, meet the Jacobian ideal `jac` with contact exactly e,
-    and satisfy the `extra` contact clauses (through `point` when given).
-    Deeper-than-e Jacobian contact is removed by saturation, one excluded
-    coefficient at a time, and the image is truncated by elimination.
-    Returns -1 when the cell is empty; emptiness is monotone in the level
-    (see contact_cell_walk).
+    With an "==" clause, deeper contact is removed by saturation by each
+    nonzero excluded coefficient in turn and the largest image counts
+    (-1 when all are zero).  The image is truncated by elimination;
+    emptiness is monotone in the level (see contact_cell_walk).
     """
-    clauses = [ContactClause(X, ">=", level + 1), ContactClause(jac, "==", e), *extra]
     closed, excluded = contact_ideal(clauses, level, point=point)
-    best = -1
-    for g in excluded:
-        if not g.is_zero():
-            d = image_dimension(
-                closed.ideal, closed.jet_ring, image_level, saturator=g, budget=budget
-            )
-            best = max(best, d)
-    return best
+    saturators = [g for g in excluded if not g.is_zero()] if excluded else [None]
+    return max(
+        (image_dimension(closed.ideal, closed.jet_ring, image_level, g, budget) for g in saturators),
+        default=-1,
+    )
 
 
 def liftable_image_dim(I, point, m, e, jacobian=None, budget=None):
     """Dimension of the level-m image of jets through `point` that lift
-    far enough and meet the Jacobian ideal with contact exactly e.
-
-    Builds the cell at working level max(m, e) + e and measures its
-    level-m image; see contact_cell_dim.  Returns -1 when the locus is
-    empty.
+    far enough and meet the Jacobian ideal with contact exactly e: the
+    cell [I >= L+1, jacobian == e] at level L = max(m, e) + e; -1 when
+    empty.  `jacobian` defaults to jacobian_of(I).
     """
     if m < 1:
         raise PreconditionError("jet level m must be at least 1")
     if e < 0:
         raise PreconditionError("contact order e must be non-negative")
     check_point_on(I, point)
-    jac = jacobian if jacobian is not None else jacobian_ideal(I, len(I.gens))
-    return contact_cell_dim(I, jac, e, max(m, e) + e, m, point=point, budget=budget)
+    jac = jacobian if jacobian is not None else jacobian_of(I, budget)
+    L = max(m, e) + e
+    clauses = [ContactClause(I, ">=", L + 1), ContactClause(jac, "==", e)]
+    return contact_cell_dim(clauses, L, m, point=point, budget=budget)
 
 
 def contact_cell_walk(cell):
@@ -366,16 +367,17 @@ def contact_cell_walk(cell):
     dimension, -1 when empty.  Returns row(m, orders), a generator of
     (e, dim) for e in `orders`; rows must come in increasing m.
 
-    Dead contact orders.  Take L' <= L with e <= L' and every `extra`
-    order at most L' + 1.  Truncating a level-L jet of a cell to level L'
-    gives a jet of the level-L' cell with the same e, `extra` and point:
+    Dead contact orders.  Take a cell [X >= L+1, jac == e, extra...] at
+    level L, and L' <= L with e <= L' and every extra order at most
+    L' + 1.  Truncating a level-L jet of the cell to level L' gives a
+    jet of the level-L' cell with the same e, extra clauses and point:
     the t^k coefficient of an arc expansion depends only on jet levels
     <= k, and every clause at level L' reads coefficients k <= L' only
     (ord X >= L' + 1 reads t^0..t^L', ord jac == e reads t^0..t^e, an
     extra ord >= c reads t^0..t^(c-1)).  So emptiness is monotone in the
     level, whatever the image level: the truncation argument behind the
     Denef-Loeser lifting lemma.  `cell` must keep, for each e, a working
-    level that never drops as m grows and `extra` clauses that only get
+    level that never drops as m grows and extra clauses that only get
     stronger; then an empty cell (m, e) makes every later (m', e) empty,
     and later rows yield (e, -1) without computing it.  Only a cell that
     returns -1 marks e dead; one that raises marks nothing.
@@ -426,7 +428,7 @@ def lambda_sequence(I, point, m_max, e_max=3, budget=None):
     n = I.krull_dimension(budget).dimension
     if n < 1:
         raise PreconditionError(f"variety dimension is {n}; need a positive-dimensional variety")
-    jac = jacobian_ideal(I, len(I.gens))
+    jac = jacobian_of(I, budget)
     singular_dim = (I + jac).krull_dimension(budget).dimension
     walk = contact_cell_walk(
         lambda m, e: liftable_image_dim(I, point, m, e, jacobian=jac, budget=budget)

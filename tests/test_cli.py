@@ -418,6 +418,22 @@ def test_mld_bound_bad_clause(tmp_path, capsys):
     assert "NAME^WEIGHT" in out
 
 
+def test_lct_on_interior_minimum_is_not_proven(tmp_path, capsys):
+    # contact orders beyond e_max are never scanned, so the interior
+    # minimum at m=2 is no proof; only a minimum at m=M reads "window edge"
+    src = tmp_path / "lct.jsp"
+    src.write_text(
+        "ring x, y\nideal X = x^2 - y^3\nideal A = x, y\n"
+        "command lct-bound ideal=A on=X M=4 e_max=3\n"
+    )
+    code, out = run_cli(capsys, "run", str(src))
+    assert code == 0
+    assert "  bound: 1 at m=2 (not proven)\n" in out
+    assert "  exact = false\n" in out
+    code, out = run_cli(capsys, "corpus", "cusp-lct")
+    assert "  bound: 1 at m=2 (window edge)\n" in out
+
+
 def test_lct_on_requires_explicit_ideal(tmp_path, capsys):
     src = tmp_path / "lct.jsp"
     src.write_text(

@@ -21,8 +21,12 @@ from jetspace.invariants import (
 from jetspace.jets import (
     ContactClause,
     contact_cell_dim,
+    contact_ideal,
+    get_jet_ring,
     jacobian_ideal,
+    jet_ideal,
     lambda_sequence,
+    t_expand,
 )
 from jetspace.parser import parse_polynomial
 from jetspace.poly import Polynomial, Ring
@@ -296,7 +300,12 @@ def test_lct_on_singular_ambient_skipped_cells_match_direct_computation():
         expected = []
         for e in range(4):
             s = max(m - 1, e)
-            d = contact_cell_dim(X, jac, e, s + e, s, extra=(ContactClause(a, ">=", m),))
+            clauses = (
+                ContactClause(X, ">=", s + e + 1),
+                ContactClause(jac, "==", e),
+                ContactClause(a, ">=", m),
+            )
+            d = contact_cell_dim(clauses, s + e, s)
             if d != -1:
                 expected.append((e, (s + 1) - d))  # the cusp is a curve: n = 1
         # empty cells are absent, every other cell carries its direct codim
@@ -307,9 +316,9 @@ def test_lct_on_singular_ambient_computes_each_empty_cell_once(monkeypatch):
     calls = []
     real = invariants.contact_cell_dim
 
-    def counting(X, jac, e, *args, **kwargs):
-        calls.append(e)
-        return real(X, jac, e, *args, **kwargs)
+    def counting(clauses, *args, **kwargs):
+        calls.extend(c.order for c in clauses if c.relation == "==")
+        return real(clauses, *args, **kwargs)
 
     monkeypatch.setattr(invariants, "contact_cell_dim", counting)
     table = lct_hat_bound(ideal(R2, "x", "y"), 4, on=ideal(R2, "x^2 - y^3"), e_max=3)
@@ -321,6 +330,72 @@ def test_lct_on_singular_ambient_computes_each_empty_cell_once(monkeypatch):
         "row m=3 skipped: no liftable contact found",
         "row m=4 skipped: no liftable contact found",
     )
+
+
+def test_lct_on_table_does_not_depend_on_the_presentation():
+    # (f) and (f, x*f) cut out the same cusp
+    f = mk(R2, "x^2 - y^3")
+    a = ideal(R2, "x", "y")
+    plain = lct_hat_bound(a, 4, on=Ideal(R2, (f,)), e_max=3)
+    padded = lct_hat_bound(a, 4, on=Ideal(R2, (f, mk(R2, "x") * f)), e_max=3)
+    assert padded.rows == plain.rows
+    assert (padded.bound, padded.argmin, padded.notes) == (plain.bound, plain.argmin, plain.notes)
+    assert [r.codim for r in plain.rows] == [2, 2, None, None]
+
+
+def _direct_dim(gens_by_order, ring, level):
+    """Krull dimension of the contact locus {ord g >= k}, built from the
+    arc expansions alone: the t^0..t^(k-1) coefficients of each g."""
+    big = get_jet_ring(ring, level).ring
+    gens = []
+    for g, k in gens_by_order:
+        gens.extend(t_expand(g, level)[:k])
+    return Ideal(big, tuple(gens)).krull_dimension().dimension
+
+
+def _smooth_lct_cases():
+    rng = random.Random(14)
+    cases = [(ideal(R2, "x", "y"), 3), (ideal(R2, "x^2"), 2), (ideal(R2, "x^2", "y^3"), 6)]
+    for _ in range(3):
+        a, b = rng.randint(2, 4), rng.randint(2, 5)
+        cases.append((ideal(R2, f"x^{a} - y^{b}"), 3))
+    return cases
+
+
+def test_smooth_table_rows_match_direct_jet_computations():
+    # lct rows: codim of {ord a >= m} at level m - 1 is N*m minus the
+    # dimension of the (m-1)-jet scheme of V(a)
+    for a, M in _smooth_lct_cases():
+        table = lct_hat_bound(a, M)
+        for r in table.rows:
+            dim = _direct_dim([(g, r.m) for g in a.gens], R2, r.m - 1)
+            assert r.codim == 2 * r.m - dim, (a, r.m)
+    # mld rows: the corpus entry and a seeded weighted binomial
+    A = ideal(R4, "x*(x*y - z*w)", "z*(x*y - z*w)")
+    W = ideal(R4, "x", "y", "z", "w")
+    rng = random.Random(41)
+    a, b = rng.randint(2, 4), rng.randint(2, 5)
+    B = ideal(R2, f"x^{a} - y^{b}")
+    for ring, weighted, center, M in (
+        (R4, ((A, Fraction(1)),), W, 3),
+        (R2, ((B, Fraction(1, 2)), (ideal(R2, "x", "y"), Fraction(1))), ideal(R2, "x", "y"), 2),
+    ):
+        table = mld_hat_bound(ring, weighted, center, M)
+        for r in table.rows:
+            p = max([m - 1 for m in r.indices if m >= 1], default=0)
+            orders = [(g, 1) for g in center.gens]
+            for (I, _), m in zip(weighted, r.indices):
+                orders += [(g, m) for g in I.gens]
+            dim = _direct_dim(orders, ring, p)
+            assert r.codim == ring.ngens * (p + 1) - dim, r.indices
+            assert r.value == r.codim - sum(m * w for (_, w), m in zip(weighted, r.indices))
+    # the m-jet scheme is the closed part of ord >= m + 1, generator for
+    # generator, in the order the arc expansion gives them
+    for I in (ideal(R2, "x^2 - y^3"), ideal(R2, "x*y", "x^2 + y"), A):
+        for m in range(3):
+            expanded = tuple(c for g in I.gens for c in t_expand(g, m))
+            closed, _ = contact_ideal([ContactClause(I, ">=", m + 1)], m)
+            assert jet_ideal(I, m).ideal.gens == closed.ideal.gens == expanded
 
 
 def test_mld_bound_smooth_plane():

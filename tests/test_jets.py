@@ -20,6 +20,7 @@ from jetspace.jets import (
     get_jet_ring,
     image_dimension,
     jacobian_ideal,
+    jacobian_of,
     jet_ideal,
     lambda_sequence,
     liftable_image_dim,
@@ -386,7 +387,8 @@ def test_liftable_extra_levels_stable():
     node = ideal(R2, "x*y")
     origin = (Fraction(0), Fraction(0))
     base = liftable_image_dim(node, origin, 2, 1)
-    deeper = contact_cell_dim(node, jacobian_ideal(node, 1), 1, 5, 2, point=origin)
+    cell = [ContactClause(node, ">=", 6), ContactClause(jacobian_ideal(node, 1), "==", 1)]
+    deeper = contact_cell_dim(cell, 5, 2, point=origin)
     assert base == deeper == 2
 
 
@@ -510,7 +512,7 @@ def test_benchmark_tracer_sees_the_cells(tmp_path):
     """The benchmark's tracer wraps the cell functions at their module
     bindings; the row walks must keep calling them through those names."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = {k: v for k, v in os.environ.items() if not k.startswith("JETSPACE_")}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(root, "src")
     script = (
         "import importlib, sys\n"
@@ -561,5 +563,59 @@ def test_contact_cell_emptiness_is_monotone_in_level(ring, text):
     origin = (0,) * ring.ngens
     for e in range(4):
         for L in range(max(e, 1), e + 4):
-            if contact_cell_dim(X, jac, e, L, 1, point=origin) == -1:
-                assert contact_cell_dim(X, jac, e, L + 1, 1, point=origin) == -1, (e, L)
+            cell = [ContactClause(X, ">=", L + 1), ContactClause(jac, "==", e)]
+            if contact_cell_dim(cell, L, 1, point=origin) == -1:
+                cell = [ContactClause(X, ">=", L + 2), ContactClause(jac, "==", e)]
+                assert contact_cell_dim(cell, L + 1, 1, point=origin) == -1, (e, L)
+
+
+# The tail cell of a row: jets of X through the point at level
+# L = max(m, E) with ord(jac) >= E + 1, closed clauses only, measured at
+# image level m.  Every cell beyond E truncates into it.
+
+
+@pytest.mark.parametrize(
+    "text, E, bounds",
+    [
+        ("x^2 - y^3", 3, {1: 0, 2: 1, 3: 2}),
+        ("x*y", 2, {1: 0, 2: 0}),
+        ("x^2 - y^4", 2, {1: 1, 2: 2}),
+        ("x^3 - y^4", 8, {1: 0}),
+    ],
+    ids=["cusp", "node", "tacnode", "E6"],
+)
+def test_tail_cell_bounds_through_closed_clauses(text, E, bounds):
+    X = ideal(R2, text)
+    jac = jacobian_of(X)
+    for m, bound in bounds.items():
+        L = max(m, E)
+        tail = [ContactClause(X, ">=", L + 1), ContactClause(jac, ">=", E + 1)]
+        assert contact_cell_dim(tail, L, m, point=(0, 0)) == bound, m
+
+
+# The Jacobian ideal comes from the codimension, not from the number of
+# generators, so the rows depend on V(I) only.
+
+
+@pytest.mark.parametrize(
+    "text", ["x^2 - y^3", "x*y", "x^2 - y^4"], ids=["cusp", "node", "tacnode"]
+)
+def test_lambda_rows_do_not_depend_on_the_presentation(text):
+    f = mk(R2, text)
+    plain = lambda_sequence(Ideal(R2, (f,)), (0, 0), 2, e_max=3)
+    padded = lambda_sequence(Ideal(R2, (f, mk(R2, "x") * f)), (0, 0), 2, e_max=3)
+    assert padded.rows == plain.rows
+    assert padded.singular_dim == plain.singular_dim == 0
+    assert padded.mld_hat == plain.mld_hat
+
+
+def test_twisted_cubic_rows():
+    # smooth, with three generators in codimension two
+    R3 = Ring(("x", "y", "z"))
+    cubic = ideal(R3, "x*z - y^2", "y - x^2", "z - x*y")
+    assert jacobian_of(cubic).equals(jacobian_ideal(cubic, 2))
+    report = lambda_sequence(cubic, (0, 0, 0), 2, e_max=2)
+    assert [r.value for r in report.rows] == [0, 0]
+    assert all(r.converged for r in report.rows)
+    assert report.singular_dim == -1
+    assert report.mld_hat == 1
