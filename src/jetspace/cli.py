@@ -14,10 +14,9 @@ jets, dim, tangent-cone, check-main, lambda, lct-bound, mld-bound,
 ord-blowup.  Each is one entry of COMMANDS: a run function and the
 readers that check its parameters and turn them into typed values.
 Reports are byte-deterministic; timing goes to stderr.
-Exit codes: 0 ok, 2 parse error, 4 budget exhausted (a partial report
-is still printed when one exists), 3 any other precondition failure,
-5 the two routes of check-main disagreed where a theorem says they
-must agree (an internal error, reported rather than raised).
+Exit code 0 is ok; an error ends with the `status` and `exit_code` of
+its class in errors.py, and a budget stop that still has a partial
+report prints it with BudgetExhausted's.
 
 Command line: `run FILE` or `corpus [NAME]`, then --out, --max-pairs and
 --max-degree in any order around the argument (see USAGE).  -h/--help
@@ -29,10 +28,9 @@ exits 2 (SystemExit from `main`, before any report is built).
 import re
 import sys
 import time
-from fractions import Fraction
 
 from .corpus import CORPUS
-from .errors import AgreementError, BudgetExhausted, ParseError, PreconditionError
+from .errors import BudgetExhausted, JetspaceError, ParseError, PreconditionError
 from .groebner import Budget, DEFAULT_BUDGET, Ideal
 from .invariants import (
     check_mld_hat_equals_n,
@@ -42,7 +40,7 @@ from .invariants import (
     tangent_cone,
 )
 from .jets import jet_ideal, lambda_sequence
-from .parser import parse_polynomial
+from .parser import parse_polynomial, parse_rational
 from .poly import Ring
 
 
@@ -101,9 +99,8 @@ def parse_input(text):
                 raise ParseError("point line before ring line", line=lineno)
             if point is not None:
                 raise ParseError("duplicate point line", line=lineno)
-            try:
-                point = tuple(Fraction(t.strip()) for t in rest.split(","))
-            except (ValueError, ZeroDivisionError):
+            point = tuple(parse_rational(t) for t in rest.split(","))
+            if None in point:
                 raise ParseError("point coordinates must be rational numbers", line=lineno)
             if len(point) != ring.ngens:
                 raise ParseError(
@@ -217,10 +214,10 @@ def _clauses(doc, key):
         if not sep:
             raise ParseError(f"clause {chunk!r} needs the form NAME^WEIGHT")
         ideal = _lookup(doc, name)
-        try:
-            clauses.append((ideal, Fraction(weight)))
-        except (ValueError, ZeroDivisionError):
+        value = parse_rational(weight)
+        if value is None:
             raise ParseError(f"bad weight {weight!r}")
+        clauses.append((ideal, value))
     return tuple(clauses)
 
 
@@ -445,14 +442,15 @@ def execute(doc, budget):
     for key in sorted(data):
         lines.append(f"  {key} = {data[key]}")
     if budget_hit:
-        lines.append("status: budget-exhausted")
-        return lines, 4
+        lines.append(f"status: {BudgetExhausted.status}")
+        return lines, BudgetExhausted.exit_code
     lines.append("status: ok")
     return lines, 0
 
 
-def _error_report(status, message):
-    return f"== jetspace report ==\nstatus: {status}\nerror: {message}\n"
+def _error_report(exc):
+    """The report text and exit code for a JetspaceError."""
+    return f"== jetspace report ==\nstatus: {exc.status}\nerror: {exc}\n", exc.exit_code
 
 
 def _resolve_budget(doc, flags):
@@ -585,18 +583,8 @@ def main(argv=None):
             budget = _resolve_budget(doc, flags)
             lines, code = execute(doc, budget)
             out_text = "\n".join(lines) + "\n"
-    except ParseError as exc:
-        out_text = _error_report("parse-error", str(exc))
-        code = 2
-    except PreconditionError as exc:
-        out_text = _error_report("precondition-error", str(exc))
-        code = 3
-    except BudgetExhausted as exc:
-        out_text = _error_report("budget-exhausted", str(exc))
-        code = 4
-    except AgreementError as exc:
-        out_text = _error_report("agreement-error", str(exc))
-        code = 5
+    except JetspaceError as exc:
+        out_text, code = _error_report(exc)
     finally:
         elapsed = time.perf_counter() - started
         print(f"elapsed: {elapsed:.2f}s", file=sys.stderr)
@@ -606,8 +594,7 @@ def main(argv=None):
                 fh.write(out_text)
             return code
         except OSError as exc:
-            out_text = _error_report("parse-error", f"cannot write output file: {exc}")
-            code = 2
+            out_text, code = _error_report(ParseError(f"cannot write output file: {exc}"))
     sys.stdout.write(out_text)
     return code
 

@@ -1,8 +1,8 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the exit contract.
 
-The CLI maps these onto distinct exit codes, so raising the right class is
-part of the public contract: ParseError -> 2, PreconditionError -> 3,
-BudgetExhausted -> 4, AgreementError -> 5.
+Each class the package raises carries the report `status` and the
+`exit_code` the CLI ends with, so raising the right class is part of the
+public contract.
 """
 
 
@@ -12,6 +12,8 @@ class JetspaceError(Exception):
 
 class ParseError(JetspaceError):
     """Malformed textual input (polynomial expression or problem file)."""
+
+    status, exit_code = "parse-error", 2
 
     def __init__(self, message, position=None, line=None):
         self.position = position
@@ -28,6 +30,8 @@ class ParseError(JetspaceError):
 class PreconditionError(JetspaceError):
     """An operation was called outside its documented domain."""
 
+    status, exit_code = "precondition-error", 3
+
 
 class RingMismatchError(PreconditionError):
     """Operands live in different polynomial rings."""
@@ -40,6 +44,8 @@ class BudgetExhausted(JetspaceError):
     for answers.  The message records which cap was hit and where.
     """
 
+    status, exit_code = "budget-exhausted", 4
+
     def __init__(self, message, pairs_done=None, degree=None):
         self.pairs_done = pairs_done
         self.degree = degree
@@ -50,5 +56,7 @@ class AgreementError(JetspaceError):
     """Two routes that must agree by a theorem disagreed.
 
     This signals an implementation bug, not bad input.  The library never
-    catches it; the CLI reports it with status agreement-error and exit 5.
+    catches it; the CLI reports it.
     """
+
+    status, exit_code = "agreement-error", 5

@@ -536,8 +536,8 @@ class Ideal:
         gb = self.groebner_basis(GREVLEX, budget)
         return any(g.is_constant() for g in gb)
 
-    def is_zero_ideal(self, budget=None):
-        return not self.groebner_basis(GREVLEX, budget)
+    def is_zero_ideal(self):
+        return not self.gens  # __init__ drops zero generators
 
     def equals(self, other, budget=None):
         if self.ring != other.ring:

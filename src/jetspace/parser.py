@@ -1,7 +1,7 @@
-"""Recursive-descent parser for polynomial expressions.
+"""The grammar of numbers and polynomial expressions in input text.
 
-Grammar (no implicit multiplication, exponents are literal non-negative
-integers, rationals are literal int/uint pairs):
+Expressions (no implicit multiplication, exponents are literal
+non-negative integers, rationals are literal int/uint pairs):
 
     expr   := ['-'] term (('+' | '-') term)*
     term   := factor ('*' factor)*
@@ -10,153 +10,123 @@ integers, rationals are literal int/uint pairs):
 
 A leading '-' is also accepted directly after '(' since a parenthesized
 atom restarts expr.  Everything the Polynomial printer emits parses back to
-an equal polynomial.
+an equal polynomial.  An int is a run of decimal digits of any script (what
+`int` reads), a variable a letter or '_' then letters, digits or '_'.  Any
+other character, nesting past the interpreter's recursion limit and an int
+past its int-string digit limit are parse errors.  Point coordinates and
+clause weights are read by `parse_rational`: [-+]int or [-+]int/uint.
 """
 
+import re
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ParseError, PreconditionError
 
-_SYMBOLS = set("+-*^/()")
+_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[^\W\d]\w*)|(?P<sym>[-+*^/()])|(?P<bad>\S))")
+_RATIONAL = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*")
 
-
-class _Token:
-    __slots__ = ("kind", "value", "pos")
-
-    def __init__(self, kind, value, pos):
-        self.kind = kind  # "name" | "int" | "sym" | "end"
-        self.value = value
-        self.pos = pos
-
-
-def _tokenize(text, line=None):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", int(text[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token("sym", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", position=i, line=line)
-    tokens.append(_Token("end", None, n))
-    return tokens
+# kind is "int", "name", "end" or the symbol itself
+_Token = namedtuple("_Token", "kind value pos")
 
 
 class _Parser:
-    def __init__(self, text, ring, line=None):
-        self.text = text
+    def __init__(self, text, ring, line):
         self.ring = ring
         self.line = line
-        self.tokens = _tokenize(text, line=line)
-        self.i = 0
+        self.tokens = []
+        for match in _TOKEN.finditer(text):
+            kind = match.lastgroup
+            value = match[kind]
+            tok = _Token(value if kind == "sym" else kind, value, match.start(kind))
+            if kind == "bad":
+                self.fail(f"unexpected character {value!r}", tok)
+            if kind == "int":
+                try:
+                    tok = tok._replace(value=int(value))
+                except ValueError:  # more digits than the interpreter converts
+                    self.fail("integer literal is too long", tok)
+            self.tokens.append(tok)
+        self.tokens.append(_Token("end", None, len(text)))
+        self.tokens.reverse()  # the next token is the last one
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def accept_sym(self, sym):
-        tok = self.peek()
-        if tok.kind == "sym" and tok.value == sym:
-            self.i += 1
+    def accept(self, sym):
+        if self.tokens[-1].kind == sym:
+            self.tokens.pop()
             return True
         return False
 
     def fail(self, message, tok):
         raise ParseError(message, position=tok.pos, line=self.line)
 
-    def expect_sym(self, sym):
-        tok = self.advance()
-        if tok.kind != "sym" or tok.value != sym:
-            self.fail(f"expected {sym!r}", tok)
-
-    def expect_uint(self):
-        tok = self.advance()
-        if tok.kind != "int":
-            self.fail("expected a non-negative integer", tok)
+    def expect(self, kind):
+        """The value of the next token, which must be of `kind`."""
+        tok = self.tokens.pop()
+        if tok.kind != kind:
+            what = "a non-negative integer" if kind == "int" else repr(kind)
+            self.fail(f"expected {what}", tok)
         return tok.value
 
-    def parse(self):
-        p = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            self.fail(f"unexpected trailing input {self.describe(tok)}", tok)
-        return p
-
-    def describe(self, tok):
-        if tok.kind == "end":
-            return "end of input"
-        return repr(str(tok.value))
-
     def expr(self):
-        negate = self.accept_sym("-")
-        p = self.term()
-        if negate:
-            p = -p
+        p = -self.term() if self.accept("-") else self.term()
         while True:
-            if self.accept_sym("+"):
+            if self.accept("+"):
                 p = p + self.term()
-            elif self.accept_sym("-"):
+            elif self.accept("-"):
                 p = p - self.term()
             else:
                 return p
 
     def term(self):
         p = self.factor()
-        while self.accept_sym("*"):
+        while self.accept("*"):
             p = p * self.factor()
         return p
 
     def factor(self):
         a = self.atom()
-        if self.accept_sym("^"):
-            return a ** self.expect_uint()
-        return a
+        return a ** self.expect("int") if self.accept("^") else a
 
     def atom(self):
-        tok = self.advance()
+        tok = self.tokens.pop()
         if tok.kind == "name":
             try:
                 return self.ring.var(self.ring.index(tok.value))
             except PreconditionError:
                 self.fail(f"unknown variable {tok.value!r}", tok)
         if tok.kind == "int":
-            numerator = tok.value
-            if self.accept_sym("/"):
-                denominator = self.expect_uint()
+            if self.accept("/"):
+                denominator = self.expect("int")
                 if denominator == 0:
                     self.fail("zero denominator", tok)
-                return self.ring.constant(Fraction(numerator, denominator))
-            return self.ring.constant(numerator)
-        if tok.kind == "sym" and tok.value == "(":
+                return self.ring.constant(Fraction(tok.value, denominator))
+            return self.ring.constant(tok.value)
+        if tok.kind == "(":
             p = self.expr()
-            self.expect_sym(")")
+            self.expect(")")
             return p
-        self.fail(f"unexpected token {self.describe(tok)}", tok)
+        what = "end of input" if tok.kind == "end" else repr(str(tok.value))
+        self.fail(f"unexpected token {what}", tok)
 
 
 def parse_polynomial(text, ring, line=None):
     """Parse `text` into a Polynomial over `ring`."""
-    return _Parser(text, ring, line=line).parse()
+    parser = _Parser(text, ring, line)
+    try:
+        p = parser.expr()
+    except RecursionError:
+        raise ParseError("expression is nested too deeply", line=line) from None
+    tok = parser.tokens[-1]
+    if tok.kind != "end":
+        parser.fail(f"unexpected trailing input {str(tok.value)!r}", tok)
+    return p
+
+
+def parse_rational(text):
+    """The Fraction `text` spells, spaces around it allowed; None for text
+    off the rule, a zero denominator or an over-long int."""
+    match = _RATIONAL.fullmatch(text)
+    try:
+        return Fraction(int(match[1]), int(match[2] or 1)) if match else None
+    except (ValueError, ZeroDivisionError):
+        return None

@@ -378,6 +378,11 @@ SEVERAL_IDEALS = "ring x, y\nideal X = x^2 - y^3\nideal A = x, y\nideal W = x, y
             "command check-main does not take parameter 'cross_check'",
         ),
         (SEVERAL_IDEALS + "command dim\n", "several ideals are declared; pass ideal=NAME"),
+        (
+            "ring x, y\npoint 0.5, 0\ncommand dim\n",
+            "point coordinates must be rational numbers (line 2)",
+        ),
+        (SEVERAL_IDEALS + "command mld-bound clauses=A^1.5 center=W\n", "bad weight '1.5'"),
     ],
 )
 def test_parameter_error_messages(tmp_path, capsys, text, error):

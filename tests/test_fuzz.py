@@ -1,0 +1,106 @@
+"""Text fuzz for the input reader, and inputs that once crashed or hung it."""
+
+import os
+import random
+import re
+import subprocess
+import sys
+
+import pytest
+
+from jetspace.cli import Document, parse_input
+from jetspace.corpus import CORPUS
+from jetspace.errors import ParseError
+
+# the grammar's own characters, the spellings of other number syntaxes
+# ('.', 'e'), and characters on the edges of the token classes: a
+# superscript digit, a vulgar fraction, an Arabic-Indic digit, a
+# non-ASCII letter and a no-break space
+ALPHABET = list("xyzAW0129+-*^/(),=.e _#\n") + ["²", "½", "٣", "é", "\u00a0"]
+PIECES = ["x", "y", "z", "0", "1", "2", "3/4", "+", "-", "*", "^", "/", "(", ")", ",", " ",
+          ".", "e", "0.5", "1e3", "_", "²", "½", "٣", "é", "\u00a0"]
+HEADS = ["ring", "ideal X =", "ideal A = x,", "point", "budget max_pairs=", "command jets m="]
+# A power with a two-digit exponent can take long to expand, as can a
+# Python-style exponent such as 1e999999999999 on a point line; the fuzz
+# keeps every exponent to one digit.
+LONG_POWER = re.compile(r"[\^eE]\s*[-+]?\d\d")
+
+
+def mutant(rng):
+    text = CORPUS[rng.choice(sorted(CORPUS))]
+    i = rng.randrange(len(text) + 1)
+    op = rng.choice(("replace", "insert", "delete"))
+    char = rng.choice(ALPHABET)
+    if op == "insert":
+        return text[:i] + char + text[i:]
+    return text[:i] + (char if op == "replace" else "") + text[i + 1:]
+
+
+def soup(rng):
+    lines = ["ring x, y, z"]
+    for _ in range(rng.randrange(1, 5)):
+        body = "".join(rng.choice(PIECES) for _ in range(rng.randrange(1, 12)))
+        lines.append(f"{rng.choice(HEADS)} {body}")
+    lines.append("command dim")
+    return "\n".join(lines) + "\n"
+
+
+def cases(make, seed, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        text = make(rng)
+        if not LONG_POWER.search(text):
+            out.append(text)
+    return out
+
+
+def test_input_text_reads_or_raises_parse_error():
+    for text in cases(mutant, 1106, 600) + cases(soup, 345, 400):
+        try:
+            doc = parse_input(text)
+        except ParseError:
+            continue
+        assert isinstance(doc, Document), repr(text)
+
+
+SEVERAL_IDEALS = "ring x, y\nideal A = x, y\nideal W = x, y\n"
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (
+            "ring x, y\npoint 1e999999999999, 0\ncommand dim\n",
+            "point coordinates must be rational numbers (line 2)",
+        ),
+        (
+            SEVERAL_IDEALS + "command mld-bound clauses=A^1e999999999999 center=W\n",
+            "bad weight '1e999999999999'",
+        ),
+        ("ring x, y\nideal X = x^²\ncommand dim\n", "expected a non-negative integer (line 2, column 3)"),
+        (
+            "ring x, y\nideal X = " + "(" * 250 + "x" + ")" * 250 + "\ncommand dim\n",
+            "expression is nested too deeply (line 2)",
+        ),
+        (
+            "ring x, y\nideal X = x + 1" + "0" * 4999 + "\ncommand dim\n",
+            "integer literal is too long (line 2, column 5)",
+        ),
+    ],
+    ids=["point-exponent", "weight-exponent", "superscript", "nesting", "long-literal"],
+)
+def test_crash_and_hang_inputs_end_in_a_parse_error(tmp_path, text, error):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
+    )
+    src = tmp_path / "input.jsp"
+    src.write_text(text, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetspace", "run", str(src)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == f"== jetspace report ==\nstatus: parse-error\nerror: {error}\n"

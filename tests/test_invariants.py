@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 import jetspace
+import jetspace.groebner as groebner
 import jetspace.invariants as invariants
-from jetspace.errors import PreconditionError
-from jetspace.groebner import Ideal, gcd_poly, lcm_poly
+from jetspace.errors import BudgetExhausted, PreconditionError
+from jetspace.groebner import Budget, Ideal, gcd_poly, lcm_poly
 from jetspace.invariants import (
     check_mld_hat_equals_n,
     has_multiplicity_one_factor,
@@ -273,6 +274,25 @@ def test_lct_rejects_degenerate_ideals():
         lct_hat_bound(Ideal(R2, ()), 2)
     with pytest.raises(PreconditionError):
         lct_hat_bound(Ideal(R2, (R2.one(),)), 2)
+
+
+def test_lct_computes_each_basis_under_the_callers_budget(monkeypatch):
+    """The zero-ideal check needs no basis, so no basis of `a` is computed
+    and cached under the default budget before the caller's cap applies."""
+    a = ideal(R3, "x^2 + y*z - x", "y^2 + x*z - y", "z^2 + x*y - z")
+    tight = Budget(max_pairs=1)
+    budgets = []
+    real = groebner.reduced_groebner
+
+    def recording(gens, order=groebner.GREVLEX, budget=None):
+        if tuple(gens) == a.gens:
+            budgets.append(budget)
+        return real(gens, order, budget)
+
+    monkeypatch.setattr(groebner, "reduced_groebner", recording)
+    with pytest.raises(BudgetExhausted):
+        lct_hat_bound(a, 1, budget=tight)
+    assert budgets == [tight]
 
 
 def test_lct_on_singular_ambient_runs_and_is_deterministic():

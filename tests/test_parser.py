@@ -58,6 +58,9 @@ def test_rejects_malformed():
         "3/0",
         "*x",
         "x & y",
+        "x^\u00b2",  # a superscript digit is no int
+        "2\u00b2",
+        "(" * 250 + "x" + ")" * 250,  # deeper than the recursion limit
     ]:
         with pytest.raises(ParseError):
             parse_polynomial(bad, R)
