@@ -585,6 +585,12 @@ def main(argv=None):
             out_text = "\n".join(lines) + "\n"
     except JetspaceError as exc:
         out_text, code = _error_report(exc)
+    except ValueError as exc:  # str() of an int past the interpreter's digit limit
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        error = f"a number in the report passes the interpreter's {limit}-digit print limit"
+        out_text, code = _error_report(PreconditionError(error))
     finally:
         elapsed = time.perf_counter() - started
         print(f"elapsed: {elapsed:.2f}s", file=sys.stderr)

@@ -4,11 +4,13 @@ The engine is Buchberger's algorithm with Gebauer and Moeller's UPDATE
 (J. Symb. Comput. 6, 1988): the coprime-head criterion, minimal-lcm
 filtering among new pairs, the chain criterion on old pairs, and an
 element whose lead a newer lead divides leaving the set that forms new
-pairs (it stays a reducer).  Pairs are selected normally, the elements
-left in that set are the minimal basis, and tails are fully reduced at
-the end.  Output is always the reduced Groebner basis, which is unique
-per (ideal, order), so results are reproducible byte for byte no matter
-how the computation was scheduled.
+pairs (it stays a reducer).  Pairs are selected normally, and the
+elements left in that set are the minimal basis.  reduced_groebner then
+fully reduces tails: its output is the reduced Groebner basis, unique per
+(ideal, order), so results are reproducible byte for byte however the
+computation was scheduled.  elimination_dimension stops at the minimal
+basis: a dimension reads leading monomials only, which the minimal and
+the reduced basis share, so it needs no interreduction.
 
 The inner loop runs on integers only, after Bachmann and Schoenemann,
 "Monomial representations for Groebner bases computations" (ISSAC 1998):
@@ -275,33 +277,21 @@ def _to_polynomial(ring, ip, mono, den):
     return Polynomial(ring, {mono.unpack(m): Fraction(c, den) for _, m, c in ip})
 
 
-def reduced_groebner(gens, order=GREVLEX, budget=None):
-    """Reduced Groebner basis of the ideal generated by `gens`.
+def _check_input_degree(degree, cap):
+    if degree > cap:
+        raise BudgetExhausted(f"input degree {degree} exceeds cap {cap}", degree=degree)
 
-    Returns a tuple of monic Polynomials sorted by leading monomial,
-    largest first.  The zero ideal yields the empty tuple.
-    """
-    budget = budget or DEFAULT_BUDGET
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return ()
-    ring = gens[0].ring
-    for g in gens:
-        if g.ring != ring:
-            raise RingMismatchError("generators live in different rings")
-        if g.degree() > budget.max_degree:
-            raise BudgetExhausted(
-                f"input degree {g.degree()} exceeds cap {budget.max_degree}",
-                degree=g.degree(),
-            )
 
+def _processing_order(ip):
+    """Sort key: one processing order, whatever order the inputs came in."""
+    return [-t[0] for t in ip], [t[2] for t in ip]
+
+
+def _minimal_basis(inputs, mono, budget):
+    """Buchberger's loop over `inputs`, integral term lists in processing
+    order: the minimal basis, as reducer entries of primitive polynomials."""
     cap = budget.max_degree
-    mono = _monomials(order, ring.ngens, cap)
     guards = mono.guards
-    inputs = [_terms(g, mono) for g in gens]
-    # a fixed processing order, whatever order the generators came in
-    inputs.sort(key=lambda ip: ([-t[0] for t in ip], [t[2] for t in ip]))
-
     basis = []  # reducer entries, insertion order
     active = []  # indices of the entries whose lead no later lead divides
     pairs = {}  # open pairs: (i, j) i<j -> (lcm_key, lcm); smaller lcms have larger keys
@@ -378,8 +368,8 @@ def reduced_groebner(gens, order=GREVLEX, budget=None):
         basis.append(_reducer(ip, mono))
 
     memo = {}  # for this run's basis, which only grows by appending
-    for terms in inputs:
-        nf, _ = _normal_form_ip(_work(_integral(terms)[0]), 1, basis, memo, mono, cap)
+    for ip in inputs:
+        nf, _ = _normal_form_ip(_work(ip), 1, basis, memo, mono, cap)
         if nf:
             add_element(_primitive(nf))
 
@@ -419,7 +409,28 @@ def reduced_groebner(gens, order=GREVLEX, budget=None):
 
     # every element was reduced against those before it, so no earlier
     # lead divides its lead: the active elements are the minimal basis
-    minimal = [basis[i] for i in active]
+    return [basis[i] for i in active]
+
+
+def reduced_groebner(gens, order=GREVLEX, budget=None):
+    """Reduced Groebner basis of the ideal generated by `gens`.
+
+    Returns a tuple of monic Polynomials sorted by leading monomial,
+    largest first.  The zero ideal yields the empty tuple.
+    """
+    budget = budget or DEFAULT_BUDGET
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return ()
+    ring = gens[0].ring
+    for g in gens:
+        if g.ring != ring:
+            raise RingMismatchError("generators live in different rings")
+        _check_input_degree(g.degree(), budget.max_degree)
+
+    mono = _monomials(order, ring.ngens, budget.max_degree)
+    inputs = sorted((_terms(g, mono) for g in gens), key=_processing_order)
+    minimal = _minimal_basis([_integral(ip)[0] for ip in inputs], mono, budget)
 
     # interreduce tails against the whole list: a lead divides no term
     # smaller than itself, so an element never reduces its own tail, and
@@ -429,7 +440,7 @@ def reduced_groebner(gens, order=GREVLEX, budget=None):
     for _, _, ip in minimal:
         lk, lm, lc = ip[0]
         tail = _work(islice(ip, 1, None))
-        nf, scale = _normal_form_ip(tail, 1, minimal, memo, mono, cap)
+        nf, scale = _normal_form_ip(tail, 1, minimal, memo, mono, budget.max_degree)
         reduced.append([(lk, lm, lc * scale)] + nf)
 
     reduced.sort(key=lambda ip: ip[0][0])
@@ -494,6 +505,35 @@ def _min_hitting_set(supports, nvars):
 
     search(minimal, [])
     return best[0]
+
+
+def elimination_packing(nvars, k, degree, budget=None):
+    """Block(k) packing of `nvars` variables for terms of `degree` and the cap."""
+    cap = (budget or DEFAULT_BUDGET).max_degree
+    return _monomials(Block(k, GREVLEX), nvars, max(degree, cap))
+
+
+def elimination_dimension(polys, mono, k, budget=None):
+    """Dimension of the closure of V(polys) projected away from the first
+    k variables, -1 when V(polys) is empty; `polys` are dicts {packed
+    monomial: int} in `mono`, from elimination_packing, on one scale.
+
+    Dimension reads only the leads of the Block(k) basis elements free of
+    the first k variables, and the minimal basis has the reduced basis's
+    leads: no interreduction, no conversion to Polynomials.
+    """
+    budget = budget or DEFAULT_BUDGET
+    inputs = []
+    for p in polys:
+        if p:  # the largest packed monomial has the largest degree field
+            _check_input_degree(max(p) >> mono.degree_offset, budget.max_degree)
+            inputs.append(sorted((mono.key(m), m, c) for m, c in p.items()))
+    inputs.sort(key=_processing_order)
+    leads = [mono.unpack(lm) for lm, _, _ in _minimal_basis(inputs, mono, budget)]
+    if not all(map(any, leads)):
+        return -1  # a constant lead
+    kept = [{i for i, e in enumerate(lm) if e} for lm in leads if not any(lm[:k])]
+    return len(mono.offsets) - k - len(_min_hitting_set(kept, len(mono.offsets)))
 
 
 class Ideal:
@@ -617,16 +657,9 @@ class Ideal:
         n = self.ring.ngens
         if any(g.is_constant() for g in gb):
             return DimensionResult(-1, ())
-        supports = []
-        for g in gb:
-            lm = g.leading_monomial(GREVLEX)
-            supports.append(frozenset(i for i, e in enumerate(lm) if e))
-        if not supports:
-            return DimensionResult(n, self.ring.names)
-        hitting = _min_hitting_set(supports, n)
-        independent = tuple(
-            self.ring.names[i] for i in range(n) if i not in set(hitting)
-        )
+        leads = [g.leading_monomial(GREVLEX) for g in gb]
+        hitting = set(_min_hitting_set([{i for i, e in enumerate(lm) if e} for lm in leads], n))
+        independent = tuple(x for i, x in enumerate(self.ring.names) if i not in hitting)
         return DimensionResult(n - len(hitting), independent)
 
 

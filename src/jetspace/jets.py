@@ -2,16 +2,20 @@
 of their images: contact_cell_dim, the one measurement under every table.
 
 A level-m jet ring adjoins variables name__j for every base variable and
-every level 0 <= j <= m, in level-major order: all level-0 variables
-first, then level 1, and so on.  That makes the level-p subring a prefix
-of the level-m ring, so truncating a jet is literally dropping trailing
-variables, and the closure of a truncation image is an elimination ideal
-over the trailing block.
+every level 0 <= j <= m, in level-major order, so the level-p subring is
+a prefix of the level-m ring and a truncation image is an elimination
+ideal over the trailing block.
+
+A cell never builds that ring.  Its clauses expand as integer arc series
+straight into the packed layout of groebner.elimination_dimension: w
+(for saturation), the levels above the image level (eliminated), then
+the image levels.  Through a point arcs start at t^1, so the level-0
+variables are left out.  t_expand, contact_ideal and image_dimension of
+an Ideal are views of the same series and the same dimension entry.
 
 Budget discipline: all Groebner work is routed through the budget handed
 in by the caller; this module adds no caps of its own.  The jet-ring and
-arc-expansion caches are bounded LRU caches, sized far above the working
-set of any single command.
+arc-expansion caches are bounded LRU caches.
 """
 
 from collections import namedtuple
@@ -21,8 +25,8 @@ from itertools import combinations
 from math import lcm
 
 from .errors import AgreementError, BudgetExhausted, PreconditionError, RingMismatchError
-from .groebner import Ideal
-from .poly import Polynomial, Ring, fresh_name, map_variables
+from .groebner import Ideal, elimination_dimension, elimination_packing
+from .poly import Polynomial, Ring
 
 
 class JetRing:
@@ -33,11 +37,7 @@ class JetRing:
             raise PreconditionError("jet level must be non-negative")
         self.base = base
         self.level = level
-        names = []
-        for j in range(level + 1):
-            for name in base.names:
-                names.append(f"{name}__{j}")
-        self.ring = Ring(tuple(names))
+        self.ring = Ring(f"{name}__{j}" for j in range(level + 1) for name in base.names)
 
     def index(self, i, j):
         """Flat index of base variable i at level j."""
@@ -87,6 +87,72 @@ def _series_mul(a, b, m):
     return out
 
 
+def _arc_series(polys, m, places, scale):
+    """Coefficients of t^0..t^m of scale * p, for each p in `polys`, on
+    the arc x_i = sum_j x_i__j t^j with x_i__j the packed monomial
+    places[i][j] (0 where None): m + 1 dicts {packed monomial: int} per
+    p.  `scale` must clear every denominator."""
+    one = [{0: 1}] + [{} for _ in range(m)]
+    var_series = [[{u: 1} if u else {} for u in row] for row in places]
+    powers = {}  # shared by every p
+
+    def power(i, k):
+        if k == 0:
+            return one
+        got = powers.get((i, k))
+        if got is None:
+            got = powers[(i, k)] = _series_mul(power(i, k - 1), var_series[i], m)
+        return got
+
+    out = []
+    for p in polys:
+        total = [{} for _ in range(m + 1)]
+        for exps, coeff in p.terms.items():
+            c = coeff.numerator * (scale // coeff.denominator)
+            series = one
+            for i, e in enumerate(exps):
+                if e:
+                    series = _series_mul(series, power(i, e), m)
+            for acc, part in zip(total, series):
+                for mono, cc in part.items():
+                    acc[mono] = acc.get(mono, 0) + c * cc
+        out.append([{mono: c for mono, c in acc.items() if c} for acc in total])
+    return out
+
+
+# A cell's equations in its layout (see _cell_layout): packed series on
+# the common coefficient `scale`, the first k variables eliminated.
+PackedCell = namedtuple("PackedCell", "mono k closed scale")
+
+
+def _cell_layout(jr, image_level, lowest, degree, budget):
+    """(mono, k, places) of a cell of `jr` imaged at `image_level`.
+
+    The variables are w, the levels above the image level (eliminated, k
+    variables in all), then the image levels from `lowest` up; places[i][j]
+    is x_i__j as a packed unit monomial of `mono`, None below `lowest`.
+    """
+    if not 0 <= image_level <= jr.level:
+        raise PreconditionError("image level outside the jet ring's range")
+    n = jr.base.ngens
+    k = 1 + n * (jr.level - image_level)
+    mono = elimination_packing(1 + n * (jr.level + 1 - lowest), k, degree, budget)
+    levels = [*range(image_level + 1, jr.level + 1), *range(lowest, image_level + 1)]
+    variables = [(i, j) for j in levels for i in range(n)]
+    unit = {v: 1 << o | 1 << mono.degree_offset for v, o in zip(variables, mono.offsets[1:])}
+    return mono, k, tuple(tuple(unit.get((i, j)) for j in range(jr.level + 1)) for i in range(n))
+
+
+def _jet_polys(jr, mono, series, scale):
+    """Packed coefficients of a layout imaged at jr.level as Polynomials
+    of the jet ring, with 0 for the levels below its lowest."""
+    pad = (0,) * (1 + jr.ring.ngens - len(mono.offsets))
+    return [
+        Polynomial(jr.ring, {pad + mono.unpack(m)[1:]: Fraction(c, scale) for m, c in acc.items()})
+        for acc in series
+    ]
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def t_expand(p, m):
     """Coefficients of t^0..t^m of p evaluated on a truncated arc.
@@ -94,62 +160,13 @@ def t_expand(p, m):
     Substitutes each base variable x_i by sum_j x_i__j t^j and truncates
     past t^m.  Returns a tuple of m + 1 polynomials in the level-m jet
     ring of p's ring.
-
-    The expansion runs on integers: jet variable (i, j) is the packed
-    monomial 1 << width * jr.index(i, j), and p is scaled to integer
-    coefficients.  A jet monomial from the term x^e spreads e_i over the
-    fields of x_i, so no field exceeds p's largest exponent and `width`
-    is that exponent's bit length.
     """
     if m < 0:
         raise PreconditionError("truncation level must be non-negative")
     jr = get_jet_ring(p.ring, m)
-    big = jr.ring
-    width = max((e for exps in p.terms for e in exps), default=0).bit_length() or 1
     den = lcm(*(c.denominator for c in p.terms.values()))
-    one_series = [{0: 1}] + [{} for _ in range(m)]
-    var_series = [
-        [{1 << width * jr.index(i, j): 1} for j in range(m + 1)]
-        for i in range(p.ring.ngens)
-    ]
-    powers = {}
-
-    def power(i, k):
-        if k == 0:
-            return one_series
-        got = powers.get((i, k))
-        if got is None:
-            got = _series_mul(power(i, k - 1), var_series[i], m)
-            powers[(i, k)] = got
-        return got
-
-    total = [{} for _ in range(m + 1)]
-    for exps, coeff in p.terms.items():
-        scale = coeff.numerator * (den // coeff.denominator)
-        series = one_series
-        for i, e in enumerate(exps):
-            if e:
-                series = _series_mul(series, power(i, e), m)
-        for acc, part in zip(total, series):
-            for mono, c in part.items():
-                acc[mono] = acc.get(mono, 0) + scale * c
-
-    nvars = big.ngens
-    mask = (1 << width) - 1
-
-    def unpack(mono):
-        exps = [0] * nvars
-        while mono:
-            field = ((mono & -mono).bit_length() - 1) // width
-            shift = field * width
-            exps[field] = (mono >> shift) & mask
-            mono &= ~(mask << shift)
-        return tuple(exps)
-
-    return tuple(
-        Polynomial(big, {unpack(mono): Fraction(c, den) for mono, c in acc.items()})
-        for acc in total
-    )
+    mono, _, places = _cell_layout(jr, m, 0, p.degree(), None)
+    return tuple(_jet_polys(jr, mono, _arc_series([p], m, places, den)[0], den))
 
 
 def pad_to_jet_ring(poly, jet_ring):
@@ -196,6 +213,44 @@ class ContactClause(namedtuple("ContactClause", "ideal relation order")):
         return super().__new__(cls, ideal, relation, order)
 
 
+def _realize(clauses, m, image_level, point, budget):
+    """(jet ring, PackedCell, excluded) of contact clauses at jet level m
+    in the layout of a cell imaged at `image_level`; `excluded` packs the
+    t^e coefficients of the "==" clause's generators.  With `point`, the
+    clause ideals are translated so the point sits at the origin."""
+    if not clauses:
+        raise PreconditionError("empty contact clause list")
+    base = clauses[0].ideal.ring
+    eq_seen = False
+    for clause in clauses:
+        if clause.ideal.ring != base:
+            raise RingMismatchError("contact clauses live in different rings")
+        if clause.order > m + (clause.relation == ">="):
+            raise PreconditionError(
+                f"contact order {clause.relation} {clause.order} is unrealizable at jet level {m}"
+            )
+        if clause.relation == "==":
+            if eq_seen:
+                raise PreconditionError("at most one exact-contact clause is supported")
+            eq_seen = True
+    if point is not None and len(point) != base.ngens:
+        raise PreconditionError("point arity does not match ring")
+    jr = get_jet_ring(base, m)
+    # with a saturator 1 - w*g one degree above its generators
+    degree = 1 + max(g.degree() for clause in clauses for g in clause.ideal.gens)
+    mono, k, places = _cell_layout(jr, image_level, int(point is not None), degree, budget)
+    gens = [c.ideal.translate(point).gens if point is not None else c.ideal.gens for c in clauses]
+    scale = lcm(*(c.denominator for polys in gens for g in polys for c in g.terms.values()))
+    closed = []
+    excluded = []
+    for clause, polys in zip(clauses, gens):
+        for coeffs in _arc_series(polys, m, places, scale):
+            closed.extend(c for c in coeffs[: clause.order] if c)
+            if clause.relation == "==":
+                excluded.append(coeffs[clause.order])
+    return jr, PackedCell(mono, k, closed, scale), excluded
+
+
 def contact_ideal(clauses, m, point=None):
     """Realize contact clauses at jet level m.
 
@@ -206,44 +261,11 @@ def contact_ideal(clauses, m, point=None):
     When `point` is given all clause ideals are first translated so the
     point sits at the origin, and the level-0 variables are pinned to 0.
     """
-    if not clauses:
-        raise PreconditionError("empty contact clause list")
-    base = clauses[0].ideal.ring
-    eq_seen = False
-    for clause in clauses:
-        if clause.ideal.ring != base:
-            raise RingMismatchError("contact clauses live in different rings")
-        if clause.relation == ">=" and clause.order > m + 1:
-            raise PreconditionError(
-                f"contact order >= {clause.order} is unrealizable at jet level {m}"
-            )
-        if clause.relation == "==":
-            if clause.order > m:
-                raise PreconditionError(
-                    f"contact order == {clause.order} is unrealizable at jet level {m}"
-                )
-            if eq_seen:
-                raise PreconditionError("at most one exact-contact clause is supported")
-            eq_seen = True
-    if point is not None and len(point) != base.ngens:
-        raise PreconditionError("point arity does not match ring")
-
-    jr = get_jet_ring(base, m)
-    closed = []
-    excluded = []
-    for clause in clauses:
-        ideal_here = clause.ideal.translate(point) if point is not None else clause.ideal
-        for gen in ideal_here.gens:
-            coeffs = t_expand(gen, m)
-            closed.extend(coeffs[: clause.order])
-            if clause.relation == "==":
-                excluded.append(coeffs[clause.order])
+    jr, (mono, _, closed, scale), excluded = _realize(clauses, m, m, point, None)
+    closed = _jet_polys(jr, mono, closed, scale)
     if point is not None:
-        level0 = jr.level_indices(0)
-        closed = [g.set_vars_zero(level0) for g in closed]
-        excluded = [g.set_vars_zero(level0) for g in excluded]
-        closed.extend(jr.ring.var(i) for i in level0)
-    return JetIdeal(jr, Ideal(jr.ring, tuple(closed))), excluded
+        closed.extend(jr.ring.var(i) for i in jr.level_indices(0))
+    return JetIdeal(jr, Ideal(jr.ring, tuple(closed))), _jet_polys(jr, mono, excluded, scale)
 
 
 def jacobian_ideal(I, c):
@@ -252,9 +274,7 @@ def jacobian_ideal(I, c):
     n = I.ring.ngens
     if c < 1 or c > k or c > n:
         raise PreconditionError(f"cannot take {c} x {c} minors of a {k} x {n} Jacobian")
-    rows = [
-        [g.partial_derivative(i) for i in range(n)] for g in I.gens
-    ]
+    rows = [[g.partial_derivative(i) for i in range(n)] for g in I.gens]
 
     def det(r_idx, c_idx):
         if len(r_idx) == 1:
@@ -287,36 +307,31 @@ def jacobian_of(X, budget=None):
 
 def image_dimension(closed, jet_ring, image_level, saturator=None, budget=None):
     """Dimension of the closure of the image, in the level-`image_level`
-    jet space, of V(closed) minus V(saturator).
+    jet space, of V(closed) minus V(saturator); -1 when empty.
 
-    `closed` is an Ideal in jet_ring.ring.  Returns -1 when empty.
+    `closed` is a PackedCell with a packed saturator, or an Ideal in
+    jet_ring.ring with a Polynomial one, packed here into the cell
+    layout with every jet variable present.
     """
-    if not 0 <= image_level <= jet_ring.level:
-        raise PreconditionError("image level outside the jet ring's range")
+    if isinstance(closed, Ideal):
+        polys = closed.gens + (() if saturator is None else (saturator,))
+        scale = lcm(*(c.denominator for g in polys for c in g.terms.values()))
+        degree = max((g.degree() + 1 for g in polys), default=0)
+        mono, k, places = _cell_layout(jet_ring, image_level, 0, degree, budget)
+        # each jet variable a base variable of a level-0 arc: packs each g
+        units = [(row[j],) for j in range(jet_ring.level + 1) for row in places]
+        packed = [series[0] for series in _arc_series(polys, 0, units, scale)]
+        if saturator is not None:
+            saturator = packed.pop()
+        closed = PackedCell(mono, k, packed, scale)
+    mono, k, gens, scale = closed
     if saturator is not None:
-        if saturator.is_zero():
+        if not saturator:
             return -1  # nothing lies outside V(0)
-        if saturator.is_constant():
-            saturator = None
-    n = jet_ring.base.ngens
-    prefix = n * (image_level + 1)
-    trailing = jet_ring.ring.ngens - prefix
-    if saturator is None and trailing == 0:
-        return closed.krull_dimension(budget).dimension
-
-    names = jet_ring.ring.names
-    w = fresh_name("w", names)
-    perm = Ring((w,) + names[prefix:] + names[:prefix])
-    index_map = {}
-    for i in range(prefix):
-        index_map[i] = 1 + trailing + i
-    for i in range(prefix, prefix + trailing):
-        index_map[i] = 1 + (i - prefix)
-    gens = [map_variables(g, perm, index_map) for g in closed.gens]
-    if saturator is not None:
-        gens.append(perm.one() - perm.var(0) * map_variables(saturator, perm, index_map))
-    shadow = Ideal(perm, tuple(gens)).eliminate(1 + trailing, budget)
-    return shadow.krull_dimension(budget).dimension
+        if saturator.keys() != {0}:  # a constant one removes nothing
+            w = 1 << mono.offsets[0] | 1 << mono.degree_offset
+            gens = gens + [{0: scale, **{mm + w: -c for mm, c in saturator.items()}}]
+    return elimination_dimension(gens, mono, k, budget)
 
 
 def check_point_on(I, point):
@@ -333,14 +348,14 @@ def contact_cell_dim(clauses, level, image_level, point=None, budget=None):
     With an "==" clause, deeper contact is removed by saturation by each
     nonzero excluded coefficient in turn and the largest image counts
     (-1 when all are zero).  The image is truncated by elimination;
-    emptiness is monotone in the level (see contact_cell_walk).
+    emptiness is monotone in the level (see contact_cell_walk).  The
+    cell lives in _cell_layout's variables: w, the eliminated levels, the
+    image levels; through a point, level 0 is not among them.
     """
-    closed, excluded = contact_ideal(clauses, level, point=point)
-    saturators = [g for g in excluded if not g.is_zero()] if excluded else [None]
-    return max(
-        (image_dimension(closed.ideal, closed.jet_ring, image_level, g, budget) for g in saturators),
-        default=-1,
-    )
+    jr, cell, excluded = _realize(clauses, level, image_level, point, budget)
+    saturators = [g for g in excluded if g] if excluded else [None]
+    dims = (image_dimension(cell, jr, image_level, g, budget) for g in saturators)
+    return max(dims, default=-1)
 
 
 def liftable_image_dim(I, point, m, e, jacobian=None, budget=None):
@@ -465,38 +480,23 @@ def lambda_sequence(I, point, m_max, e_max=3, budget=None):
     rows = tuple(row(m) for m in range(1, m_max + 1))
 
     budget_hit = any(r.note.startswith("budget exhausted") for r in rows)
-    stabilized = None
-    mld_hat = None
+    stabilized = mld_hat = None
     if m_max >= 2:
         last, prev = rows[-1], rows[-2]
-        if (
-            last.converged
-            and prev.converged
-            and last.value is not None
-            and last.value == prev.value
-        ):
+        if last.converged and prev.converged and last.value == prev.value is not None:
             stabilized = last.value
             mld_hat = n + stabilized
-    notes = []
     if singular_dim <= 0:
-        notes.append(
+        note = (
             "singular locus is empty or zero-dimensional: the liftable rows "
             "equal the full defect (isolated-singularity identification)"
         )
     else:
-        notes.append(
+        note = (
             f"singular locus has dimension {singular_dim}: rows bound the full "
             "defect from above but may miss arc families inside the singular locus"
         )
     return LambdaReport(
-        point=point,
-        n=n,
-        m_max=m_max,
-        e_max=e_max,
-        rows=rows,
-        stabilized=stabilized,
-        mld_hat=mld_hat,
-        singular_dim=singular_dim,
-        notes=tuple(notes),
-        budget_hit=budget_hit,
+        point=point, n=n, m_max=m_max, e_max=e_max, rows=rows, stabilized=stabilized,
+        mld_hat=mld_hat, singular_dim=singular_dim, notes=(note,), budget_hit=budget_hit,
     )

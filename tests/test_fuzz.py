@@ -1,4 +1,5 @@
-"""Text fuzz for the input reader, and inputs that once crashed or hung it."""
+"""Text fuzz for the input reader, and inputs that once crashed or hung it
+or its report."""
 
 import os
 import random
@@ -104,3 +105,27 @@ def test_crash_and_hang_inputs_end_in_a_parse_error(tmp_path, text, error):
     )
     assert proc.returncode == 2
     assert proc.stdout == f"== jetspace report ==\nstatus: parse-error\nerror: {error}\n"
+
+
+def test_report_number_past_the_digit_limit_ends_in_a_precondition_error(tmp_path):
+    # (x + 10^3000*y)^2 echoes a 6,001-digit coefficient; printing it is
+    # refused, not made possible by raising the limit (str() is quadratic)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not 0 < limit < 6001:
+        pytest.skip("the interpreter prints a 6,001-digit integer")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
+    )
+    src = tmp_path / "input.jsp"
+    src.write_text("ring x, y\nideal X = (x + 1" + "0" * 3000 + "*y)^2\ncommand dim\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetspace", "run", str(src)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == (
+        "== jetspace report ==\nstatus: precondition-error\nerror: a number in the report "
+        f"passes the interpreter's {limit}-digit print limit\n"
+    )

@@ -19,7 +19,13 @@ from jetspace.groebner import (
     normal_form,
     reduced_groebner,
 )
-from jetspace.jets import ContactClause, contact_ideal, jacobian_ideal, jet_ideal
+from jetspace.jets import (
+    ContactClause,
+    contact_cell_dim,
+    contact_ideal,
+    jacobian_ideal,
+    jet_ideal,
+)
 from jetspace.orders import GREVLEX, LEX, Block, Weight
 from jetspace.parser import parse_polynomial
 from jetspace.poly import Polynomial, Ring, map_variables
@@ -572,6 +578,21 @@ def test_saturated_cusp_cell_pair_counts():
         with pytest.raises(BudgetExhausted) as info:
             reduced_groebner(gens + [saturator], order, Budget(max_pairs=pairs - 1))
         assert info.value.pairs_done == pairs
+
+
+def test_saturated_cusp_cell_pair_counts_on_the_cell_route():
+    """contact_cell_dim runs the same two saturated bases in its own ring,
+    which leaves out the pinned level-0 variables: their leads are
+    coprime to every other lead, so they formed no pairs, and the counts
+    stay those of SATURATED_CUSP_PAIRS."""
+    X = ideal(R2, "x^2 - y^3")
+    clauses = [ContactClause(X, ">=", 8), ContactClause(jacobian_ideal(X, 1), "==", 2)]
+    pairs = SATURATED_CUSP_PAIRS[0]
+    with pytest.raises(BudgetExhausted) as info:
+        contact_cell_dim(clauses, 7, 5, point=(0, 0), budget=Budget(max_pairs=pairs - 1))
+    assert str(info.value) == f"pair budget {pairs - 1} exhausted"
+    assert info.value.pairs_done == pairs
+    assert contact_cell_dim(clauses, 7, 5, point=(0, 0), budget=Budget(max_pairs=pairs)) == -1
 
 
 def criterion_6_ideals(count):

@@ -28,7 +28,7 @@ from jetspace.jets import (
     t_expand,
 )
 from jetspace.parser import parse_polynomial
-from jetspace.poly import Ring
+from jetspace.poly import Polynomial, Ring, map_variables
 
 
 R2 = Ring(("x", "y"))
@@ -619,3 +619,103 @@ def test_twisted_cubic_rows():
     assert all(r.converged for r in report.rows)
     assert report.singular_dim == -1
     assert report.mld_hat == 1
+
+
+def _reference_cell_dim(clauses, level, image_level, point=None):
+    """contact_cell_dim the long way round, sharing none of its series or
+    kernel code: arc equations by Polynomial.substitute, the level-0
+    variables pinned by generators, map_variables into the ring (w, the
+    levels above the image level, the image levels), then
+    Ideal.eliminate and krull_dimension."""
+    base = clauses[0].ideal.ring
+    jr = get_jet_ring(base, level)
+    names = jr.ring.names
+    T = Ring(names + ("t",))
+    t = T.var(len(names))
+    arc = {
+        i: sum((T.var(jr.index(i, j)) * t**j for j in range(level + 1)), T.zero())
+        for i in range(base.ngens)
+    }
+
+    def coefficients(g):
+        by_power = [{} for _ in range(level + 1)]
+        for exps, c in g.substitute(arc).terms.items():
+            if exps[-1] <= level:
+                by_power[exps[-1]][exps[:-1]] = c
+        return [Polynomial(jr.ring, terms) for terms in by_power]
+
+    closed, excluded = [], []
+    for clause in clauses:
+        gens = clause.ideal.translate(point).gens if point is not None else clause.ideal.gens
+        for g in gens:
+            coeffs = coefficients(g)
+            closed.extend(coeffs[: clause.order])
+            if clause.relation == "==":
+                excluded.append(coeffs[clause.order])
+    if point is not None:
+        closed.extend(jr.ring.var(i) for i in jr.level_indices(0))
+    prefix = base.ngens * (image_level + 1)
+    trailing = len(names) - prefix
+    perm = Ring(("w",) + names[prefix:] + names[:prefix])
+    index_map = {i: 1 + trailing + i if i < prefix else 1 + i - prefix for i in range(len(names))}
+    gens = [map_variables(g, perm, index_map) for g in closed]
+    saturators = [
+        [perm.one() - perm.var(0) * map_variables(g, perm, index_map)]
+        for g in excluded
+        if not g.is_zero()
+    ] if excluded else [[]]
+    return max(
+        (
+            Ideal(perm, tuple(gens + s)).eliminate(1 + trailing).krull_dimension().dimension
+            for s in saturators
+        ),
+        default=-1,
+    )
+
+
+def _reference_cells():
+    """(label, clauses, level, image_level, point) of the reference table."""
+    R3 = Ring(("x", "y", "z"))
+    cells = []
+    for ring, text, point, m_max, e_max in [
+        (R2, "x^2 - y^3", (0, 0), 3, 3),
+        (R2, "x*y", (0, 0), 3, 2),
+        (R2, "x^2 - y^4", (0, 0), 3, 2),
+        (R2, "x^3 - y^4", (0, 0), 2, 3),
+        (R3, "x^2 + y^2 + z^3", (0, 0, 0), 2, 2),
+        (R3, "x^2 - y^4", (0, 0, 0), 2, 2),
+        (R2, "x*y - 1", (1, 1), 2, 1),
+    ]:
+        X = ideal(ring, text)
+        jac = jacobian_ideal(X, 1)
+        for m in range(1, m_max + 1):
+            for e in range(e_max + 1):
+                L = max(m, e) + e
+                clauses = [ContactClause(X, ">=", L + 1), ContactClause(jac, "==", e)]
+                cells.append((f"{text} at {point}, m={m} e={e}", clauses, L, m, point))
+    # t^1 of x^2 is 2*x__0*x__1, zero once level 0 is pinned: no saturator
+    x2 = ideal(R2, "x^2")
+    cells.append(("x^2 == 1 at the origin", [ContactClause(x2, "==", 1)], 1, 1, (0, 0)))
+    cells.append(("x^2 == 1 with a free base point", [ContactClause(x2, "==", 1)], 2, 0, None))
+    # the constant 1 has contact 0 with every arc: a constant saturator
+    one = Ideal(R2, (R2.one(),))
+    cusp = ideal(R2, "x^2 - y^3")
+    cells.append(
+        ("cusp >= 3 and 1 == 0", [ContactClause(cusp, ">=", 3), ContactClause(one, "==", 0)],
+         2, 1, (0, 0))
+    )
+    # the smooth lct rows of x^3 - y^4: no point, image level = jet level
+    e6 = ideal(R2, "x^3 - y^4")
+    for m in range(1, 5):
+        cells.append((f"lct row m={m}", [ContactClause(e6, ">=", m)], m - 1, m - 1, None))
+    return cells
+
+
+@pytest.mark.parametrize(
+    "clauses, level, image_level, point",
+    [pytest.param(*cell, id=label) for label, *cell in _reference_cells()],
+)
+def test_contact_cell_dim_matches_reference_route(clauses, level, image_level, point):
+    assert contact_cell_dim(clauses, level, image_level, point=point) == _reference_cell_dim(
+        clauses, level, image_level, point
+    )
