@@ -4,8 +4,13 @@ The engine is Buchberger's algorithm with Gebauer and Moeller's UPDATE
 (J. Symb. Comput. 6, 1988): the coprime-head criterion, minimal-lcm
 filtering among new pairs, the chain criterion on old pairs, and an
 element whose lead a newer lead divides leaving the set that forms new
-pairs (it stays a reducer).  Pairs are selected normally, and the
-elements left in that set are the minimal basis.  reduced_groebner then
+pairs (it stays a reducer).  The elements left in that set are the
+minimal basis.  Pairs are selected normally, smallest lcm first, or,
+given a grading, least sugar first (Giovini, Mora, Niesi, Robbiano and
+Traverso, ISSAC 1991).  Selection changes the work, never the basis: on
+a weighted-homogeneous ideal sugar walks up the degrees, where the
+normal strategy on a block order runs ahead into pairs that reduce to
+zero.  reduced_groebner then
 fully reduces tails: its output is the reduced Groebner basis, unique per
 (ideal, order), so results are reproducible byte for byte however the
 computation was scheduled.  elimination_dimension stops at the minimal
@@ -107,10 +112,11 @@ class _Monomials:
         field = self.field
         return tuple((m >> o) & field for o in self.offsets)
 
-    def key(self, m):
-        """Order key of m, read from its nonzero variable fields only."""
+    def key(self, m, weights=None):
+        """Order key of m, read from its nonzero variable fields only; with
+        `weights`, the dot product with those instead."""
         v = m & self.var_values
-        width, field, weights = self.width, self.field, self.weights
+        width, field, weights = self.width, self.field, weights or self.weights
         k = 0
         while v:
             o = ((v & -v).bit_length() - 1) // width * width
@@ -287,26 +293,37 @@ def _processing_order(ip):
     return [-t[0] for t in ip], [t[2] for t in ip]
 
 
-def _minimal_basis(inputs, mono, budget):
+def _minimal_basis(inputs, mono, budget, grading=None):
     """Buchberger's loop over `inputs`, integral term lists in processing
-    order: the minimal basis, as reducer entries of primitive polynomials."""
+    order: the minimal basis, as reducer entries of primitive polynomials.
+
+    With a `grading` (a weight per variable), the open pair of least sugar
+    in that grading is selected first, ties by the lcm as without one.  An
+    input's sugar is its largest graded degree, a pair's the larger of its
+    elements' sugars carried up to the lcm, and a new element keeps its
+    pair's.
+    """
     cap = budget.max_degree
     guards = mono.guards
     basis = []  # reducer entries, insertion order
+    excess = []  # per entry, its sugar minus its lead's graded degree
     active = []  # indices of the entries whose lead no later lead divides
     pairs = {}  # open pairs: (i, j) i<j -> (lcm_key, lcm); smaller lcms have larger keys
-    queue = []  # heap of (-lcm_key, i, j); entries no longer in `pairs` are skipped
+    queue = []  # heap of (sugar, -lcm_key, i, j); entries no longer in `pairs` are skipped
     pairs_done = 0
     degree_offset = mono.degree_offset
     # for add_element's inlined copy of _Monomials.lcm
     width1, field = mono.width - 1, mono.field
     units, top, var_values = mono.units, mono.top, mono.var_values
 
-    def add_element(ip):
+    def add_element(ip, sugar):
         """Gebauer-Moeller update with the new (primitive) element."""
         nonlocal active
         t = len(basis)
         lk_t, lm_t, _ = ip[0]
+        if grading:
+            g_t = mono.key(lm_t, grading)
+            excess.append(sugar - g_t)
 
         # one lcm per active element; coprime heads (lcm equal to the
         # product) give no pair, and elements whose lead lm_t divides
@@ -359,22 +376,26 @@ def _minimal_basis(inputs, mono, budget):
         for ij in doomed:
             del pairs[ij]
 
-        # keys are linear: key(lcm) = key(lm_t) + key(lcm / lm_t), and
-        # the shift has few nonzero fields
+        # keys and gradings are linear: key(lcm) = key(lm_t) + key(lcm /
+        # lm_t), and the shift has few nonzero fields; the pair's sugar is
+        # the larger of its elements' sugars carried up to the lcm
         for i, lcm_m in kept:
-            lcm_k = lk_t + mono.key(lcm_m - lm_t)
+            shift = lcm_m - lm_t
+            lcm_k = lk_t + mono.key(shift)
+            s = max(excess[i], excess[t]) + g_t + mono.key(shift, grading) if grading else 0
             pairs[(i, t)] = (lcm_k, lcm_m)
-            heappush(queue, (-lcm_k, i, t))
+            heappush(queue, (s, -lcm_k, i, t))
         basis.append(_reducer(ip, mono))
 
     memo = {}  # for this run's basis, which only grows by appending
     for ip in inputs:
         nf, _ = _normal_form_ip(_work(ip), 1, basis, memo, mono, cap)
         if nf:
-            add_element(_primitive(nf))
+            sugar = max(mono.key(m, grading) for _, m, _ in ip) if grading else 0
+            add_element(_primitive(nf), sugar)
 
     while pairs:
-        _, i, j = heappop(queue)
+        sugar, _, i, j = heappop(queue)
         got = pairs.pop((i, j), None)
         if got is None:
             continue  # deleted by the chain criterion
@@ -405,7 +426,7 @@ def _minimal_basis(inputs, mono, budget):
         _subtract(work, a, fi[0][2] // g, fj, lcm_k - fj[0][0], shift_j)
         nf, _ = _normal_form_ip(work, a, basis, memo, mono, cap)
         if nf:
-            add_element(_primitive(nf))
+            add_element(_primitive(nf), sugar)
 
     # every element was reduced against those before it, so no earlier
     # lead divides its lead: the active elements are the minimal basis
@@ -513,14 +534,17 @@ def elimination_packing(nvars, k, degree, budget=None):
     return _monomials(Block(k, GREVLEX), nvars, max(degree, cap))
 
 
-def elimination_dimension(polys, mono, k, budget=None):
+def elimination_dimension(polys, mono, k, budget=None, grading=None):
     """Dimension of the closure of V(polys) projected away from the first
     k variables, -1 when V(polys) is empty; `polys` are dicts {packed
     monomial: int} in `mono`, from elimination_packing, on one scale.
 
     Dimension reads only the leads of the Block(k) basis elements free of
     the first k variables, and the minimal basis has the reduced basis's
-    leads: no interreduction, no conversion to Polynomials.
+    leads: no interreduction, no conversion to Polynomials.  With
+    `grading`, a weight per variable of `mono`, pairs are selected by
+    sugar in it; a contact cell passes its arc grading, in which every
+    closed generator is weighted-homogeneous.
     """
     budget = budget or DEFAULT_BUDGET
     inputs = []
@@ -529,7 +553,7 @@ def elimination_dimension(polys, mono, k, budget=None):
             _check_input_degree(max(p) >> mono.degree_offset, budget.max_degree)
             inputs.append(sorted((mono.key(m), m, c) for m, c in p.items()))
     inputs.sort(key=_processing_order)
-    leads = [mono.unpack(lm) for lm, _, _ in _minimal_basis(inputs, mono, budget)]
+    leads = [mono.unpack(lm) for lm, _, _ in _minimal_basis(inputs, mono, budget, grading)]
     if not all(map(any, leads)):
         return -1  # a constant lead
     kept = [{i for i, e in enumerate(lm) if e} for lm in leads if not any(lm[:k])]

@@ -10,8 +10,11 @@ A cell never builds that ring.  Its clauses expand as integer arc series
 straight into the packed layout of groebner.elimination_dimension: w
 (for saturation), the levels above the image level (eliminated), then
 the image levels.  Through a point arcs start at t^1, so the level-0
-variables are left out.  t_expand, contact_ideal and image_dimension of
-an Ideal are views of the same series and the same dimension entry.
+variables are left out.  The t^e coefficient of an arc expansion is
+weighted-homogeneous of degree e when x_i__j weighs j, and the cell's
+bases select their pairs by sugar in that grading.  t_expand,
+contact_ideal and image_dimension of an Ideal are views of the same
+series and the same dimension entry.
 
 Budget discipline: all Groebner work is routed through the budget handed
 in by the caller; this module adds no caps of its own.  The jet-ring and
@@ -121,16 +124,19 @@ def _arc_series(polys, m, places, scale):
 
 
 # A cell's equations in its layout (see _cell_layout): packed series on
-# the common coefficient `scale`, the first k variables eliminated.
-PackedCell = namedtuple("PackedCell", "mono k closed scale")
+# the common coefficient `scale`, the first k variables eliminated, and
+# the arc grading its pairs are selected by.
+PackedCell = namedtuple("PackedCell", "mono k closed scale grading")
 
 
 def _cell_layout(jr, image_level, lowest, degree, budget):
-    """(mono, k, places) of a cell of `jr` imaged at `image_level`.
+    """(mono, k, places, grading) of a cell of `jr` imaged at `image_level`.
 
     The variables are w, the levels above the image level (eliminated, k
     variables in all), then the image levels from `lowest` up; places[i][j]
     is x_i__j as a packed unit monomial of `mono`, None below `lowest`.
+    The grading weighs x_i__j by j and w by 0: the t^e coefficient of an
+    arc expansion is weighted-homogeneous of degree e.
     """
     if not 0 <= image_level <= jr.level:
         raise PreconditionError("image level outside the jet ring's range")
@@ -140,7 +146,8 @@ def _cell_layout(jr, image_level, lowest, degree, budget):
     levels = [*range(image_level + 1, jr.level + 1), *range(lowest, image_level + 1)]
     variables = [(i, j) for j in levels for i in range(n)]
     unit = {v: 1 << o | 1 << mono.degree_offset for v, o in zip(variables, mono.offsets[1:])}
-    return mono, k, tuple(tuple(unit.get((i, j)) for j in range(jr.level + 1)) for i in range(n))
+    places = tuple(tuple(unit.get((i, j)) for j in range(jr.level + 1)) for i in range(n))
+    return mono, k, places, (0,) + tuple(j for _, j in variables)
 
 
 def _jet_polys(jr, mono, series, scale):
@@ -165,7 +172,7 @@ def t_expand(p, m):
         raise PreconditionError("truncation level must be non-negative")
     jr = get_jet_ring(p.ring, m)
     den = lcm(*(c.denominator for c in p.terms.values()))
-    mono, _, places = _cell_layout(jr, m, 0, p.degree(), None)
+    mono, _, places, _ = _cell_layout(jr, m, 0, p.degree(), None)
     return tuple(_jet_polys(jr, mono, _arc_series([p], m, places, den)[0], den))
 
 
@@ -238,7 +245,8 @@ def _realize(clauses, m, image_level, point, budget):
     jr = get_jet_ring(base, m)
     # with a saturator 1 - w*g one degree above its generators
     degree = 1 + max(g.degree() for clause in clauses for g in clause.ideal.gens)
-    mono, k, places = _cell_layout(jr, image_level, int(point is not None), degree, budget)
+    lowest = int(point is not None)
+    mono, k, places, grading = _cell_layout(jr, image_level, lowest, degree, budget)
     gens = [c.ideal.translate(point).gens if point is not None else c.ideal.gens for c in clauses]
     scale = lcm(*(c.denominator for polys in gens for g in polys for c in g.terms.values()))
     closed = []
@@ -248,7 +256,7 @@ def _realize(clauses, m, image_level, point, budget):
             closed.extend(c for c in coeffs[: clause.order] if c)
             if clause.relation == "==":
                 excluded.append(coeffs[clause.order])
-    return jr, PackedCell(mono, k, closed, scale), excluded
+    return jr, PackedCell(mono, k, closed, scale, grading), excluded
 
 
 def contact_ideal(clauses, m, point=None):
@@ -261,7 +269,7 @@ def contact_ideal(clauses, m, point=None):
     When `point` is given all clause ideals are first translated so the
     point sits at the origin, and the level-0 variables are pinned to 0.
     """
-    jr, (mono, _, closed, scale), excluded = _realize(clauses, m, m, point, None)
+    jr, (mono, _, closed, scale, _), excluded = _realize(clauses, m, m, point, None)
     closed = _jet_polys(jr, mono, closed, scale)
     if point is not None:
         closed.extend(jr.ring.var(i) for i in jr.level_indices(0))
@@ -317,21 +325,21 @@ def image_dimension(closed, jet_ring, image_level, saturator=None, budget=None):
         polys = closed.gens + (() if saturator is None else (saturator,))
         scale = lcm(*(c.denominator for g in polys for c in g.terms.values()))
         degree = max((g.degree() + 1 for g in polys), default=0)
-        mono, k, places = _cell_layout(jet_ring, image_level, 0, degree, budget)
+        mono, k, places, grading = _cell_layout(jet_ring, image_level, 0, degree, budget)
         # each jet variable a base variable of a level-0 arc: packs each g
         units = [(row[j],) for j in range(jet_ring.level + 1) for row in places]
         packed = [series[0] for series in _arc_series(polys, 0, units, scale)]
         if saturator is not None:
             saturator = packed.pop()
-        closed = PackedCell(mono, k, packed, scale)
-    mono, k, gens, scale = closed
+        closed = PackedCell(mono, k, packed, scale, grading)
+    mono, k, gens, scale, grading = closed
     if saturator is not None:
         if not saturator:
             return -1  # nothing lies outside V(0)
         if saturator.keys() != {0}:  # a constant one removes nothing
             w = 1 << mono.offsets[0] | 1 << mono.degree_offset
             gens = gens + [{0: scale, **{mm + w: -c for mm, c in saturator.items()}}]
-    return elimination_dimension(gens, mono, k, budget)
+    return elimination_dimension(gens, mono, k, budget, grading)
 
 
 def check_point_on(I, point):
@@ -345,16 +353,23 @@ def contact_cell_dim(clauses, level, image_level, point=None, budget=None):
     contact `clauses` cut out at jet level `level` (through `point` when
     given); -1 when it is empty.
 
-    With an "==" clause, deeper contact is removed by saturation by each
-    nonzero excluded coefficient in turn and the largest image counts
-    (-1 when all are zero).  The image is truncated by elimination;
+    With an "==" clause, deeper contact is removed in disjoint pieces:
+    V minus V(g_1..g_r), for the nonzero excluded coefficients g_i, is
+    the union of the (V cut by g_1..g_{i-1}) minus V(g_i), so piece i adds
+    the earlier g's as closed generators and saturates by g_i.  The
+    closure of a finite union is the union of the closures, so the
+    largest piece image counts (-1 when all g are zero).  The image is
+    truncated by elimination;
     emptiness is monotone in the level (see contact_cell_walk).  The
     cell lives in _cell_layout's variables: w, the eliminated levels, the
     image levels; through a point, level 0 is not among them.
     """
     jr, cell, excluded = _realize(clauses, level, image_level, point, budget)
-    saturators = [g for g in excluded if g] if excluded else [None]
-    dims = (image_dimension(cell, jr, image_level, g, budget) for g in saturators)
+    if not excluded:
+        return image_dimension(cell, jr, image_level, None, budget)
+    gs = [g for g in excluded if g]
+    pieces = (cell._replace(closed=cell.closed + gs[:i]) for i in range(len(gs)))
+    dims = (image_dimension(piece, jr, image_level, g, budget) for piece, g in zip(pieces, gs))
     return max(dims, default=-1)
 
 

@@ -305,12 +305,6 @@ class Polynomial:
             return self
         return self.substitute({i: self.ring.var(i) + c for i, c in enumerate(point)})
 
-    def set_vars_zero(self, indices):
-        """Substitute 0 for the given variables (ring unchanged)."""
-        idx = set(indices)
-        out = {e: c for e, c in self.terms.items() if all(e[i] == 0 for i in idx)}
-        return Polynomial(self.ring, out)
-
     def substitute(self, values):
         """Substitute polynomials for variables.
 

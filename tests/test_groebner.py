@@ -581,18 +581,28 @@ def test_saturated_cusp_cell_pair_counts():
 
 
 def test_saturated_cusp_cell_pair_counts_on_the_cell_route():
-    """contact_cell_dim runs the same two saturated bases in its own ring,
-    which leaves out the pinned level-0 variables: their leads are
-    coprime to every other lead, so they formed no pairs, and the counts
-    stay those of SATURATED_CUSP_PAIRS."""
+    """contact_cell_dim runs the first saturated basis of the same cell in
+    its own ring, with pairs selected by sugar in the arc grading (x_i__j
+    of weight j): 16 pairs, against the 1573 of the ungraded selection
+    that SATURATED_CUSP_PAIRS pins.  The second piece adds the first
+    excluded coefficient as a closed generator and stays within 16."""
     X = ideal(R2, "x^2 - y^3")
     clauses = [ContactClause(X, ">=", 8), ContactClause(jacobian_ideal(X, 1), "==", 2)]
-    pairs = SATURATED_CUSP_PAIRS[0]
+    pairs = 16
     with pytest.raises(BudgetExhausted) as info:
         contact_cell_dim(clauses, 7, 5, point=(0, 0), budget=Budget(max_pairs=pairs - 1))
     assert str(info.value) == f"pair budget {pairs - 1} exhausted"
     assert info.value.pairs_done == pairs
     assert contact_cell_dim(clauses, 7, 5, point=(0, 0), budget=Budget(max_pairs=pairs)) == -1
+
+
+def test_deep_cusp_cell_fits_a_small_pair_budget():
+    """Cusp cell (m=7, e=3) at level 10 selects 350 and 4 pairs in its two
+    pieces under sugar selection; the ungraded selection of both full
+    saturations took 2823 and 1159, past this budget."""
+    X = ideal(R2, "x^2 - y^3")
+    clauses = [ContactClause(X, ">=", 11), ContactClause(jacobian_ideal(X, 1), "==", 3)]
+    assert contact_cell_dim(clauses, 10, 7, point=(0, 0), budget=Budget(max_pairs=1000)) == 6
 
 
 def criterion_6_ideals(count):

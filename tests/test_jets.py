@@ -693,6 +693,18 @@ def _reference_cells():
                 L = max(m, e) + e
                 clauses = [ContactClause(X, ">=", L + 1), ContactClause(jac, "==", e)]
                 cells.append((f"{text} at {point}, m={m} e={e}", clauses, L, m, point))
+    # surfaces of the verdicts False shapes, with three nonzero excluded
+    # coefficients: pieces after the first carry earlier ones as closed
+    for text, m, e in [
+        ("x^2 + y^3 + z^3", 1, 3),
+        ("x^2 + y^2*z + z^4", 1, 4),
+        ("x^2 + y^3 + y*z^3", 1, 3),
+        ("x^3 + y^4 + z^4", 1, 3),
+    ]:
+        X = ideal(R3, text)
+        L = max(m, e) + e
+        clauses = [ContactClause(X, ">=", L + 1), ContactClause(jacobian_ideal(X, 1), "==", e)]
+        cells.append((f"{text} at the origin, m={m} e={e}", clauses, L, m, (0, 0, 0)))
     # t^1 of x^2 is 2*x__0*x__1, zero once level 0 is pinned: no saturator
     x2 = ideal(R2, "x^2")
     cells.append(("x^2 == 1 at the origin", [ContactClause(x2, "==", 1)], 1, 1, (0, 0)))

@@ -170,13 +170,6 @@ def test_translate_zero_point_and_arity():
     assert f.translate([0, -2]) == x**2 * (y - 2) - 3 * (y - 2) + Fraction(1, 2)
 
 
-def test_set_vars_zero():
-    x, y, z = R3.gens()
-    f = x * y + z**2 + x + 7
-    assert f.set_vars_zero([0]) == z**2 + 7
-    assert f.set_vars_zero([0, 2]) == R3.constant(7)
-
-
 def test_substitute():
     x, y = R2.gens()
     u, v, w = R3.gens()
