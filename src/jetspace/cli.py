@@ -257,7 +257,7 @@ def _bound_summary(table, fmt_argmin, on_edge):
     data = {"M": table.M, "bound": _fmt(table.bound), "argmin": argmin,
             "exact": _fmt(table.exact)}
     if table.bound is None:
-        line = "bound: none (every row was empty)"
+        line = "bound: none (every row was skipped)"
     else:
         label = "exact" if table.exact else "window edge" if on_edge(table.argmin) else "not proven"
         line = f"bound: {table.bound} at m={argmin} ({label})"

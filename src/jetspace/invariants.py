@@ -203,7 +203,7 @@ ThresholdRow = namedtuple("ThresholdRow", "m codim ratio cells note", defaults=(
 
 # The rows of an lct or mld bound window and the bound they give.
 # rows: ThresholdRow or MldRow
-# bound: Fraction, or None when every row was empty
+# bound: Fraction, or None when every row was skipped
 # argmin: first m (lct) or index tuple (mld) attaining the bound
 # exact: True when the minimizer is interior to a smooth-ambient window
 BoundTable = namedtuple("BoundTable", "M rows bound argmin exact notes")
@@ -245,7 +245,11 @@ def lct_hat_bound(a, M, on=None, e_max=3, budget=None):
     Cell (m, e) sits at working level max(m - 1, e) + e and is measured
     at level max(m - 1, e).  Empty cells are left out of `cells`, and
     are not computed again in later rows (see contact_cell_walk).  The
-    scan stops at e_max, so such a table is never exact.
+    scan stops at e_max, so such a table is never exact.  A row whose
+    cells are all empty is skipped; its note says the liftable contact
+    lies beyond e_max unless the closed tail [X >= L+1, jac >= e_max+1,
+    a >= m] at level L = max(m - 1, e_max), into which every later cell
+    truncates, is empty too.
     """
     if M < 1:
         raise PreconditionError("window M must be at least 1")
@@ -284,7 +288,15 @@ def lct_hat_bound(a, M, on=None, e_max=3, budget=None):
                 if d >= 0
             )
             if not cells:
-                rows.append(ThresholdRow(m, None, None, (), "no liftable contact found"))
+                # every cell e > e_max truncates into the closed tail at level L
+                L = max(m - 1, e_max)
+                tail = (ContactClause(X, ">=", L + 1), ContactClause(jac, ">=", e_max + 1),
+                        ContactClause(a, ">=", m))
+                if contact_cell_dim(tail, L, L, budget=budget) >= 0:
+                    note = f"liftable contact lies beyond e_max={e_max}"
+                else:
+                    note = "no liftable contact found"
+                rows.append(ThresholdRow(m, None, None, (), note))
                 continue
             best = min(codim for _, codim in cells)
             rows.append(ThresholdRow(m, best, Fraction(best, m), cells))

@@ -439,6 +439,19 @@ def test_lct_on_interior_minimum_is_not_proven(tmp_path, capsys):
     assert "  bound: 1 at m=2 (window edge)\n" in out
 
 
+def test_lct_on_rows_beyond_e_max_are_skipped_not_empty(tmp_path, capsys):
+    # on the cusp, an arc through the origin has Jacobian contact at least 3
+    src = tmp_path / "lct.jsp"
+    src.write_text(
+        "ring x, y\nideal X = x^2 - y^3\nideal A = x, y\n"
+        "command lct-bound ideal=A on=X M=2 e_max=1\n"
+    )
+    code, out = run_cli(capsys, "run", str(src))
+    assert code == 0
+    assert "  row m=1: skipped (liftable contact lies beyond e_max=1)\n" in out
+    assert "  bound: none (every row was skipped)\n" in out
+
+
 def test_lct_on_requires_explicit_ideal(tmp_path, capsys):
     src = tmp_path / "lct.jsp"
     src.write_text(

@@ -583,12 +583,12 @@ def test_saturated_cusp_cell_pair_counts():
 def test_saturated_cusp_cell_pair_counts_on_the_cell_route():
     """contact_cell_dim runs the first saturated basis of the same cell in
     its own ring, with pairs selected by sugar in the arc grading (x_i__j
-    of weight j): 16 pairs, against the 1573 of the ungraded selection
+    of weight j): 17 pairs, against the 1573 of the ungraded selection
     that SATURATED_CUSP_PAIRS pins.  The second piece adds the first
-    excluded coefficient as a closed generator and stays within 16."""
+    excluded coefficient as a closed generator and stays within 17."""
     X = ideal(R2, "x^2 - y^3")
     clauses = [ContactClause(X, ">=", 8), ContactClause(jacobian_ideal(X, 1), "==", 2)]
-    pairs = 16
+    pairs = 17
     with pytest.raises(BudgetExhausted) as info:
         contact_cell_dim(clauses, 7, 5, point=(0, 0), budget=Budget(max_pairs=pairs - 1))
     assert str(info.value) == f"pair budget {pairs - 1} exhausted"
@@ -597,12 +597,28 @@ def test_saturated_cusp_cell_pair_counts_on_the_cell_route():
 
 
 def test_deep_cusp_cell_fits_a_small_pair_budget():
-    """Cusp cell (m=7, e=3) at level 10 selects 350 and 4 pairs in its two
+    """Cusp cell (m=7, e=3) at level 10 selects 169 and 4 pairs in its two
     pieces under sugar selection; the ungraded selection of both full
     saturations took 2823 and 1159, past this budget."""
     X = ideal(R2, "x^2 - y^3")
     clauses = [ContactClause(X, ">=", 11), ContactClause(jacobian_ideal(X, 1), "==", 3)]
     assert contact_cell_dim(clauses, 10, 7, point=(0, 0), budget=Budget(max_pairs=1000)) == 6
+
+
+# Jet-scheme cells of smooth lct rows, each under a pair budget that the
+# layout with the top level first fits and the one with level 0 first
+# does not: it selects 528 pairs on the first and 3,279 on the second,
+# against 345 and 1,443 with the top level first.
+LCT_ROW_CELLS = [
+    ("x^3 - y^4", 5, 4, 6, 400),
+    ("x^3 - y^5", 6, 5, 8, 2000),
+]
+
+
+@pytest.mark.parametrize("f, order, level, dim, pairs", LCT_ROW_CELLS)
+def test_lct_row_cell_fits_its_pair_budget(f, order, level, dim, pairs):
+    clauses = [ContactClause(ideal(R2, f), ">=", order)]
+    assert contact_cell_dim(clauses, level, level, budget=Budget(max_pairs=pairs)) == dim
 
 
 def criterion_6_ideals(count):

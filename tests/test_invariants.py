@@ -347,9 +347,32 @@ def test_lct_on_singular_ambient_computes_each_empty_cell_once(monkeypatch):
     assert calls == [0, 1, 2, 3, 3, 3]
     assert [r.cells for r in table.rows] == [((3, 2),), ((3, 2),), (), ()]
     assert table.notes == (
-        "row m=3 skipped: no liftable contact found",
-        "row m=4 skipped: no liftable contact found",
+        "row m=3 skipped: liftable contact lies beyond e_max=3",
+        "row m=4 skipped: liftable contact lies beyond e_max=3",
     )
+
+
+@pytest.mark.parametrize(
+    "X, tails, note",
+    [
+        # the arcs x = t^6, y = t^4 reach ord(A) = 4 with Jacobian contact 6
+        ("x^2 - y^3", (1, 0), "liftable contact lies beyond e_max=3"),
+        # no arc of the line x = 1 meets the origin
+        ("x - 1", (-1, -1), "no liftable contact found"),
+    ],
+)
+def test_lct_on_skipped_row_note_reads_the_closed_tail(X, tails, note):
+    a = ideal(R2, "x", "y")
+    X = ideal(R2, X)
+    jac = jacobian_ideal(X, 1)
+    for m, dim in zip((3, 4), tails):
+        L = max(m - 1, 3)
+        tail = [ContactClause(X, ">=", L + 1), ContactClause(jac, ">=", 4),
+                ContactClause(a, ">=", m)]
+        assert contact_cell_dim(tail, L, L) == dim
+    table = lct_hat_bound(a, 4, on=X, e_max=3)
+    assert [r.note for r in table.rows if r.m >= 3] == [note, note]
+    assert f"row m=3 skipped: {note}" in table.notes
 
 
 def test_lct_on_table_does_not_depend_on_the_presentation():
