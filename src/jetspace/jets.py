@@ -8,21 +8,25 @@ ideal over the trailing block.
 
 A cell never builds that ring.  Its clauses expand as integer arc series
 straight into the packed layout of groebner.elimination_dimension: w
-(for saturation), then the jet levels from the top down, the levels
-above the image level (eliminated) before the image levels.  Through a
+(for saturation), the levels above the image level (eliminated) from
+the lowest up, then the image levels from the top down.  Through a
 point arcs start at t^1, so the level-0 variables are left out.
 
-The top level comes first because the t^e coefficient of f on an arc
-(e >= 1) is sum_i (d f/d x_i)(x__0) * x_i__e plus terms in the levels
-below e: it is linear in its top level.  Grevlex ranks its last variable
-cheapest, so with the lowest level last the leads fall on the high
-levels, where the system is triangular, and not on powers of the low
-ones; level 0 first costs the jet-scheme cells of lct rows 1.5-2.3 times
-the S-pairs and up to ten times the time.  The t^e coefficient is also
-weighted-homogeneous of degree e when x_i__j weighs j, and the cell's
-bases select their pairs by sugar in that grading.  t_expand,
-contact_ideal and image_dimension of an Ideal are views of the same
-series and the same dimension entry.
+The image levels run from the top down because the t^e coefficient of f
+on an arc (e >= 1) is sum_i (d f/d x_i)(x__0) * x_i__e plus terms in
+the levels below e: it is linear in its top level.  Grevlex ranks its
+last variable cheapest, so with the lowest level last the leads fall on
+the high levels, where the system is triangular, and not on powers of
+the low ones; level 0 first costs the jet-scheme cells of lct rows
+1.5-2.3 times the S-pairs and up to ten times the time.  The eliminated
+block keeps its levels ascending: top down there costs the surface
+probe cells of check-main 5 % more normal forms, although it takes the
+E6 cell (m, e) = (2, 8) of lambda from 2.2 to 0.85 s.
+
+The t^e coefficient is also weighted-homogeneous of degree e when
+x_i__j weighs j, and the cell's bases select their pairs by sugar in
+that grading.  t_expand, contact_ideal and image_dimension of an Ideal
+are views of the same series and the same dimension entry.
 
 Budget discipline: all Groebner work is routed through the budget handed
 in by the caller; this module adds no caps of its own.  The jet-ring and
@@ -141,8 +145,8 @@ def _cell_layout(jr, image_level, lowest, degree, budget):
     """(mono, k, places, grading) of a cell of `jr` imaged at `image_level`.
 
     The variables are w, the levels above the image level (eliminated, k
-    variables in all), then the image levels, each block from its top
-    level down, so `lowest` comes last (the module docstring says why);
+    variables in all) from the lowest up, then the image levels from the
+    top down, so `lowest` comes last (the module docstring says why);
     places[i][j] is x_i__j as a packed unit monomial of `mono`, None
     below `lowest`.
     The grading weighs x_i__j by j and w by 0: the t^e coefficient of an
@@ -153,7 +157,8 @@ def _cell_layout(jr, image_level, lowest, degree, budget):
     n = jr.base.ngens
     k = 1 + n * (jr.level - image_level)
     mono = elimination_packing(1 + n * (jr.level + 1 - lowest), k, degree, budget)
-    variables = [(i, j) for j in range(jr.level, lowest - 1, -1) for i in range(n)]
+    levels = [*range(image_level + 1, jr.level + 1), *range(image_level, lowest - 1, -1)]
+    variables = [(i, j) for j in levels for i in range(n)]
     unit = {v: 1 << o | 1 << mono.degree_offset for v, o in zip(variables, mono.offsets[1:])}
     places = tuple(tuple(unit.get((i, j)) for j in range(jr.level + 1)) for i in range(n))
     return mono, k, places, (0,) + tuple(j for _, j in variables)
@@ -381,9 +386,9 @@ def contact_cell_dim(clauses, level, image_level, point=None, budget=None):
     largest piece image counts (-1 when all g are zero).  The image is
     truncated by elimination;
     emptiness is monotone in the level (see contact_cell_walk).  The
-    cell lives in _cell_layout's variables: w, then the levels from the
-    top down, the eliminated ones before the image levels; through a
-    point, level 0 is not among them.
+    cell lives in _cell_layout's variables: w, the eliminated levels
+    from the lowest up, then the image levels from the top down; through
+    a point, level 0 is not among them.
     """
     jr, _, cell, excluded = _realize(clauses, level, image_level, point, budget)
     if not excluded:

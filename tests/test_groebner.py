@@ -621,6 +621,15 @@ def test_lct_row_cell_fits_its_pair_budget(f, order, level, dim, pairs):
     assert contact_cell_dim(clauses, level, level, budget=Budget(max_pairs=pairs)) == dim
 
 
+def test_surface_probe_cell_fits_its_pair_budget():
+    """The check-main probe cell (m=1, e=4) of the D4 surface at level 8
+    selects 146, 88 and 10 pairs in its three pieces with the eliminated
+    levels ascending; from the top down its first piece takes 251."""
+    X = ideal(R3, "x^2 + y^3 + z^3")
+    clauses = [ContactClause(X, ">=", 9), ContactClause(jacobian_ideal(X, 1), "==", 4)]
+    assert contact_cell_dim(clauses, 8, 1, point=(0, 0, 0), budget=Budget(max_pairs=200)) == 0
+
+
 def criterion_6_ideals(count):
     """Random ideals drawn as acceptance criterion 6 draws them: 1-3
     generators in x, y, z, each with 1-3 terms of exponents 0..2 per
