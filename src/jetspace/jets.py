@@ -3,34 +3,18 @@ of their images: contact_cell_dim, the one measurement under every table.
 
 A level-m jet ring adjoins variables name__j for every base variable and
 every level 0 <= j <= m, in level-major order, so the level-p subring is
-a prefix of the level-m ring and a truncation image is an elimination
-ideal over the trailing block.
+a prefix of the level-m ring.
 
-A cell never builds that ring.  Its clauses expand as integer arc series
-straight into the packed layout of groebner.elimination_dimension: w
-(for saturation), the levels above the image level (eliminated) from
-the lowest up, then the image levels from the top down.  Through a
-point arcs start at t^1, so the level-0 variables are left out.
-
-The image levels run from the top down because the t^e coefficient of f
-on an arc (e >= 1) is sum_i (d f/d x_i)(x__0) * x_i__e plus terms in
-the levels below e: it is linear in its top level.  Grevlex ranks its
-last variable cheapest, so with the lowest level last the leads fall on
-the high levels, where the system is triangular, and not on powers of
-the low ones; level 0 first costs the jet-scheme cells of lct rows
-1.5-2.3 times the S-pairs and up to ten times the time.  The eliminated
-block keeps its levels ascending: top down there costs the surface
-probe cells of check-main 5 % more normal forms, although it takes the
-E6 cell (m, e) = (2, 8) of lambda from 2.2 to 0.85 s.
-
-The t^e coefficient is also weighted-homogeneous of degree e when
-x_i__j weighs j, and the cell's bases select their pairs by sugar in
-that grading.  t_expand, contact_ideal and image_dimension of an Ideal
-are views of the same series and the same dimension entry.
+Contact clauses expand as integer arc series of packed monomials into a
+layout their caller picks (_realize).  A cell never builds the jet ring:
+it expands straight into _cell_layout, the packing that
+groebner.elimination_dimension reads.  The Polynomial views t_expand,
+contact_ideal and jet_ideal expand into _view_layout, the jet ring's own
+order, and unpack.
 
 Budget discipline: all Groebner work is routed through the budget handed
-in by the caller; this module adds no caps of its own.  The jet-ring and
-arc-expansion caches are bounded LRU caches.
+in by the caller; this module adds no caps of its own.  The jet-ring
+cache is a bounded LRU cache.
 """
 
 from collections import namedtuple
@@ -71,11 +55,9 @@ class JetRing:
         return f"JetRing({self.base!r}, level={self.level})"
 
 
-# entries per cache; the heaviest known command touches a few dozen keys
-_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
+# each cell asks for its ring; the heaviest known command touches a few
+# dozen (base, level) keys
+@lru_cache(maxsize=1024)
 def get_jet_ring(base, level):
     return JetRing(base, level)
 
@@ -142,15 +124,27 @@ PackedCell = namedtuple("PackedCell", "mono k closed scale grading")
 
 
 def _cell_layout(jr, image_level, lowest, degree, budget):
-    """(mono, k, places, grading) of a cell of `jr` imaged at `image_level`.
+    """(places, mono, k, grading) of a cell of `jr` imaged at `image_level`.
 
-    The variables are w, the levels above the image level (eliminated, k
-    variables in all) from the lowest up, then the image levels from the
-    top down, so `lowest` comes last (the module docstring says why);
-    places[i][j] is x_i__j as a packed unit monomial of `mono`, None
-    below `lowest`.
-    The grading weighs x_i__j by j and w by 0: the t^e coefficient of an
-    arc expansion is weighted-homogeneous of degree e.
+    places[i][j] is x_i__j as a packed unit monomial of `mono`, None below
+    `lowest` (through a point arcs start at t^1, so level 0 is left out).
+    The variables are w (for saturation), the levels above the image
+    level (eliminated, k variables in all) from the lowest up, then the
+    image levels from the top down, so `lowest` comes last.  The t^e
+    coefficient of f on an arc (e >= 1) is sum_i (d f/d x_i)(x__0) *
+    x_i__e plus terms in the levels below e: it is linear in its top
+    level.  Grevlex ranks its last variable cheapest, so with the lowest
+    level last the leads fall on the high levels, where the system is
+    triangular, and not on powers of the low ones; level 0 first costs
+    the jet-scheme cells of lct rows 1.5-2.3 times the S-pairs and up to
+    ten times the time.  The eliminated block keeps its levels
+    ascending: top down there costs the surface probe cells of
+    check-main 5 % more normal forms, although it takes the E6 cell
+    (m, e) = (2, 8) of lambda from 2.2 to 0.85 s.
+
+    The grading weighs x_i__j by j and w by 0: the t^e coefficient is
+    weighted-homogeneous of degree e, and the cell's bases select their
+    pairs by sugar in it.
     """
     if not 0 <= image_level <= jr.level:
         raise PreconditionError("image level outside the jet ring's range")
@@ -161,29 +155,29 @@ def _cell_layout(jr, image_level, lowest, degree, budget):
     variables = [(i, j) for j in levels for i in range(n)]
     unit = {v: 1 << o | 1 << mono.degree_offset for v, o in zip(variables, mono.offsets[1:])}
     places = tuple(tuple(unit.get((i, j)) for j in range(jr.level + 1)) for i in range(n))
-    return mono, k, places, (0,) + tuple(j for _, j in variables)
+    return places, mono, k, (0,) + tuple(j for _, j in variables)
 
 
-def _jet_polys(jr, mono, places, series, scale):
-    """Packed coefficients of a layout as Polynomials of the jet ring,
-    with 0 for the levels below its lowest."""
-    # layout field of each jet variable; -1 reads the 0 appended below
-    fields = [-1] * jr.ring.ngens
-    for i, row in enumerate(places):
-        for j, u in enumerate(row):
-            if u:
-                fields[jr.index(i, j)] = mono.unpack(u).index(1)
+def _view_layout(jr, lowest, degree):
+    """(places, mono) of the Polynomial views: every variable of `jr` in
+    its own level-major order, places as in _cell_layout."""
+    mono = elimination_packing(jr.ring.ngens, 0, degree)
+    unit = [1 << o for o in mono.offsets]
+    places = tuple(
+        tuple(unit[jr.index(i, j)] if j >= lowest else None for j in range(jr.level + 1))
+        for i in range(jr.base.ngens)
+    )
+    return places, mono
 
-    def exps(m):
-        e = mono.unpack(m) + (0,)
-        return tuple(e[f] for f in fields)
 
+def _jet_polys(jr, mono, series, scale):
+    """Packed coefficients of _view_layout as Polynomials of the jet ring."""
     return [
-        Polynomial(jr.ring, {exps(m): Fraction(c, scale) for m, c in acc.items()}) for acc in series
+        Polynomial(jr.ring, {mono.unpack(m): Fraction(c, scale) for m, c in acc.items()})
+        for acc in series
     ]
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def t_expand(p, m):
     """Coefficients of t^0..t^m of p evaluated on a truncated arc.
 
@@ -195,8 +189,8 @@ def t_expand(p, m):
         raise PreconditionError("truncation level must be non-negative")
     jr = get_jet_ring(p.ring, m)
     den = lcm(*(c.denominator for c in p.terms.values()))
-    mono, _, places, _ = _cell_layout(jr, m, 0, p.degree(), None)
-    return tuple(_jet_polys(jr, mono, places, _arc_series([p], m, places, den)[0], den))
+    places, mono = _view_layout(jr, 0, p.degree())
+    return tuple(_jet_polys(jr, mono, _arc_series([p], m, places, den)[0], den))
 
 
 def pad_to_jet_ring(poly, jet_ring):
@@ -243,12 +237,17 @@ class ContactClause(namedtuple("ContactClause", "ideal relation order")):
         return super().__new__(cls, ideal, relation, order)
 
 
-def _realize(clauses, m, image_level, point, budget):
-    """(jet ring, places, PackedCell, excluded) of contact clauses at jet
-    level m in the layout of a cell imaged at `image_level`, with places
-    as in _cell_layout; `excluded` packs the t^e coefficients of the "=="
-    clause's generators.  With `point`, the clause ideals are translated
-    so the point sits at the origin."""
+def _realize(clauses, m, point, layout):
+    """(jet ring, layout, scale, closed, excluded) of contact clauses at
+    jet level m.
+
+    `layout(jet ring, lowest level, degree)` returns a layout whose first
+    entry is `places`, as in _cell_layout; the clause generators expand
+    into it as packed arc series on their common denominator `scale`.
+    `closed` lists the nonzero coefficients the closed conditions set to
+    0, and `excluded` the t^e coefficients of the "==" clause's
+    generators.  With `point`, the clause ideals are translated so the
+    point sits at the origin, and arcs start at level 1."""
     if not clauses:
         raise PreconditionError("empty contact clause list")
     base = clauses[0].ideal.ring
@@ -269,18 +268,17 @@ def _realize(clauses, m, image_level, point, budget):
     jr = get_jet_ring(base, m)
     # with a saturator 1 - w*g one degree above its generators
     degree = 1 + max(g.degree() for clause in clauses for g in clause.ideal.gens)
-    lowest = int(point is not None)
-    mono, k, places, grading = _cell_layout(jr, image_level, lowest, degree, budget)
+    lay = layout(jr, int(point is not None), degree)
     gens = [c.ideal.translate(point).gens if point is not None else c.ideal.gens for c in clauses]
     scale = lcm(*(c.denominator for polys in gens for g in polys for c in g.terms.values()))
     closed = []
     excluded = []
     for clause, polys in zip(clauses, gens):
-        for coeffs in _arc_series(polys, m, places, scale):
+        for coeffs in _arc_series(polys, m, lay[0], scale):
             closed.extend(c for c in coeffs[: clause.order] if c)
             if clause.relation == "==":
                 excluded.append(coeffs[clause.order])
-    return jr, places, PackedCell(mono, k, closed, scale, grading), excluded
+    return jr, lay, scale, closed, excluded
 
 
 def contact_ideal(clauses, m, point=None):
@@ -293,12 +291,11 @@ def contact_ideal(clauses, m, point=None):
     When `point` is given all clause ideals are first translated so the
     point sits at the origin, and the level-0 variables are pinned to 0.
     """
-    jr, places, (mono, _, closed, scale, _), excluded = _realize(clauses, m, m, point, None)
-    closed = _jet_polys(jr, mono, places, closed, scale)
+    jr, (_, mono), scale, closed, excluded = _realize(clauses, m, point, _view_layout)
+    closed = _jet_polys(jr, mono, closed, scale)
     if point is not None:
         closed.extend(jr.ring.var(i) for i in jr.level_indices(0))
-    excluded = _jet_polys(jr, mono, places, excluded, scale)
-    return JetIdeal(jr, Ideal(jr.ring, tuple(closed))), excluded
+    return JetIdeal(jr, Ideal(jr.ring, tuple(closed))), _jet_polys(jr, mono, excluded, scale)
 
 
 def jacobian_ideal(I, c):
@@ -338,32 +335,17 @@ def jacobian_of(X, budget=None):
     return jacobian_ideal(X, X.ring.ngens - X.krull_dimension(budget).dimension)
 
 
-def image_dimension(closed, jet_ring, image_level, saturator=None, budget=None):
+def image_dimension(cell, jet_ring, image_level, saturator=None, budget=None):
     """Dimension of the closure of the image, in the level-`image_level`
-    jet space, of V(closed) minus V(saturator); -1 when empty.
-
-    `closed` is a PackedCell with a packed saturator, or an Ideal in
-    jet_ring.ring with a Polynomial one, packed here into the cell
-    layout with every jet variable present.
+    jet space of `jet_ring`, of the zero set of the PackedCell `cell`
+    minus V(saturator), a coefficient packed in the cell's layout; -1
+    when empty.  `jet_ring` and `image_level` name the cell, whose
+    layout already holds them.
     """
-    if isinstance(closed, Ideal):
-        polys = closed.gens + (() if saturator is None else (saturator,))
-        scale = lcm(*(c.denominator for g in polys for c in g.terms.values()))
-        degree = max((g.degree() + 1 for g in polys), default=0)
-        mono, k, places, grading = _cell_layout(jet_ring, image_level, 0, degree, budget)
-        # each jet variable a base variable of a level-0 arc: packs each g
-        units = [(row[j],) for j in range(jet_ring.level + 1) for row in places]
-        packed = [series[0] for series in _arc_series(polys, 0, units, scale)]
-        if saturator is not None:
-            saturator = packed.pop()
-        closed = PackedCell(mono, k, packed, scale, grading)
-    mono, k, gens, scale, grading = closed
-    if saturator is not None:
-        if not saturator:
-            return -1  # nothing lies outside V(0)
-        if saturator.keys() != {0}:  # a constant one removes nothing
-            w = 1 << mono.offsets[0] | 1 << mono.degree_offset
-            gens = gens + [{0: scale, **{mm + w: -c for mm, c in saturator.items()}}]
+    mono, k, gens, scale, grading = cell
+    if saturator is not None and saturator.keys() != {0}:  # a constant one removes nothing
+        w = 1 << mono.offsets[0] | 1 << mono.degree_offset
+        gens = gens + [{0: scale, **{mm + w: -c for mm, c in saturator.items()}}]
     return elimination_dimension(gens, mono, k, budget, grading)
 
 
@@ -384,13 +366,14 @@ def contact_cell_dim(clauses, level, image_level, point=None, budget=None):
     the earlier g's as closed generators and saturates by g_i.  The
     closure of a finite union is the union of the closures, so the
     largest piece image counts (-1 when all g are zero).  The image is
-    truncated by elimination;
-    emptiness is monotone in the level (see contact_cell_walk).  The
-    cell lives in _cell_layout's variables: w, the eliminated levels
-    from the lowest up, then the image levels from the top down; through
-    a point, level 0 is not among them.
+    truncated by elimination; emptiness is monotone in the level (see
+    contact_cell_walk).
     """
-    jr, _, cell, excluded = _realize(clauses, level, image_level, point, budget)
+    def layout(jr, lowest, degree):
+        return _cell_layout(jr, image_level, lowest, degree, budget)
+
+    jr, (_, mono, k, grading), scale, closed, excluded = _realize(clauses, level, point, layout)
+    cell = PackedCell(mono, k, closed, scale, grading)
     if not excluded:
         return image_dimension(cell, jr, image_level, None, budget)
     gs = [g for g in excluded if g]
@@ -474,6 +457,10 @@ def lambda_sequence(I, point, m_max, e_max=3, budget=None):
     cell reaches the ceiling m*n, and otherwise probes e_max + 1 to decide
     convergence.  Rows run serially in level order; a cell proved empty
     is not computed again in later rows (see contact_cell_walk).
+
+    n is the dimension of V(I), and the rows need V(I) pure of dimension
+    n near `point`: a point where V(I) has smaller local dimension, read
+    off the tangent cone, raises PreconditionError.
     """
     if m_max < 1:
         raise PreconditionError("m_max must be at least 1")
@@ -484,6 +471,15 @@ def lambda_sequence(I, point, m_max, e_max=3, budget=None):
     n = I.krull_dimension(budget).dimension
     if n < 1:
         raise PreconditionError(f"variety dimension is {n}; need a positive-dimensional variety")
+    from .invariants import tangent_cone  # invariants imports this module
+
+    # dim O_{X,p} is the dimension of its graded ring, the tangent cone's
+    local = tangent_cone(I, point, budget).ideal.krull_dimension(budget).dimension
+    if local < n:
+        raise PreconditionError(
+            f"local dimension {local} at the point is below the variety's dimension "
+            f"n = {n}; the point must lie on components of dimension n only"
+        )
     jac = jacobian_of(I, budget)
     singular_dim = (I + jac).krull_dimension(budget).dimension
     walk = contact_cell_walk(

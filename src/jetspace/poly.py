@@ -128,14 +128,6 @@ class Polynomial:
     def is_constant(self):
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self):
-        """The value of a constant polynomial as a Fraction."""
-        if not self.is_constant():
-            raise PreconditionError("polynomial is not constant")
-        if not self.terms:
-            return Fraction(0)
-        return next(iter(self.terms.values()))
-
     # -- degree data --------------------------------------------------
 
     def degree(self):
@@ -156,13 +148,6 @@ class Polynomial:
             return self
         d = self.min_degree()
         return Polynomial(self.ring, {e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def homogeneous_part(self, d):
-        return Polynomial(self.ring, {e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def is_homogeneous(self):
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
 
     # -- leading data -------------------------------------------------
 

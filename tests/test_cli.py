@@ -488,6 +488,63 @@ def test_check_main_curve_without_jet_verdict_stays_open(tmp_path, capsys):
     assert "status: budget-exhausted" in out
 
 
+def test_point_on_a_lower_dimensional_component(tmp_path, capsys):
+    """X = (x*z, y*z) is a plane and a line; at (0, 0, 1) it is locally
+    the line, so the jet route stops instead of measuring against n = 2."""
+    for command in ("check-main", "lambda m_max=2"):
+        src = tmp_path / "line.jsp"
+        src.write_text(f"ring x, y, z\nideal X = x*z, y*z\npoint 0, 0, 1\ncommand {command}\n")
+        code, out = run_cli(capsys, "run", str(src))
+        assert code == 3
+        assert "status: precondition-error" in out
+        assert "local dimension 1 at the point" in out and "n = 2" in out
+
+
+def test_point_where_the_line_meets_the_plane(tmp_path, capsys):
+    """At the origin X = (x*z, y*z) has local dimension 2 = n: both jet
+    commands run as before."""
+    head = "ring x, y, z\nideal X = x*z, y*z\npoint 0, 0, 0\n"
+    src = tmp_path / "origin.jsp"
+    src.write_text(head + "command check-main\n")
+    code, out = run_cli(capsys, "run", str(src))
+    assert code == 0
+    assert out.split("result:\n")[1] == (
+        "  variety dimension n: 2\n"
+        "  tangent cone generator 1: x*z\n"
+        "  tangent cone generator 2: y*z\n"
+        "  cone status: undecided-nonprincipal\n"
+        "  cone verdict: none\n"
+        "  jet row m=1: value=0 converged=true cells=0:-1,1:2\n"
+        "  jet verdict: true\n"
+        "  overall verdict: true\n"
+        "  agreement: none\n"
+        "  note: tangent cone is not principal: the reduced-component test would need "
+        "factorization, deferring to the jet route\n"
+        "data:\n"
+        "  agreement = none\n"
+        "  cone_status = undecided-nonprincipal\n"
+        "  cone_verdict = none\n"
+        "  lambda_1 = 0\n"
+        "  lambda_verdict = true\n"
+        "  n = 2\n"
+        "  verdict = true\n"
+        "status: ok\n"
+    )
+    src.write_text(head + "command lambda m_max=2\n")
+    code, out = run_cli(capsys, "run", str(src))
+    assert code == 0
+    assert out.split("result:\n")[1].split("data:\n")[0] == (
+        "  variety dimension n: 2\n"
+        "  singular locus dimension: 0\n"
+        "  row m=1: value=0 converged=true cells=0:-1,1:2\n"
+        "  row m=2: value=0 converged=true cells=0:-1,1:4\n"
+        "  stabilized lambda: 0\n"
+        "  mld-hat: 2\n"
+        "  note: singular locus is empty or zero-dimensional: the liftable rows equal the "
+        "full defect (isolated-singularity identification)\n"
+    )
+
+
 def test_comments_and_blank_lines(tmp_path, capsys):
     src = tmp_path / "comments.jsp"
     src.write_text(

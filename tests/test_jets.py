@@ -18,7 +18,6 @@ from jetspace.jets import (
     contact_cell_dim,
     contact_ideal,
     get_jet_ring,
-    image_dimension,
     jacobian_ideal,
     jacobian_of,
     jet_ideal,
@@ -90,12 +89,6 @@ def test_t_expand_constant_and_zero():
     assert coeffs == (big.constant(Fraction(5, 2)), big.zero())
     zc = t_expand(R2.zero(), 2)
     assert all(c.is_zero() for c in zc)
-
-
-def test_t_expand_cache_identity():
-    a = t_expand(mk(R2, "x*y + 1"), 3)
-    b = t_expand(mk(R2, "x*y + 1"), 3)
-    assert a is b
 
 
 def _expand_on_arc(p, m, rng, jr):
@@ -326,26 +319,45 @@ def test_jacobian_ideal_bad_size():
         jacobian_ideal(ideal(R2, "x"), 2)
 
 
-def test_image_dimension_projection():
-    # V(x1 - y1^2) in level-1 jets of the plane projects onto level 0
-    jr = get_jet_ring(R2, 1)
-    big = jr.ring
-    closed = Ideal(big, (mk(big, "x__1 - y__1^2"),))
-    assert image_dimension(closed, jr, 0) == 2
-    # restrict to the hypersurface x0 = 0 before projecting
-    closed2 = Ideal(big, (mk(big, "x__1 - y__1^2"), big.var(0)))
-    assert image_dimension(closed2, jr, 0) == 1
+def test_contact_cell_dim_projection():
+    # ord(x - y^2) >= 2 at level 1: the parabola's 1-jets, dimension 2,
+    # whose level-0 image is the parabola
+    clauses = [ContactClause(ideal(R2, "x - y^2"), ">=", 2)]
+    assert contact_cell_dim(clauses, 1, 0) == 1
+    assert contact_cell_dim(clauses, 1, 1) == 2
 
 
-def test_image_dimension_with_saturator():
-    jr = get_jet_ring(R2, 1)
-    big = jr.ring
-    # x0 * y0 = 0, keep only the branch where x0 != 0: closure is y0 = 0
-    closed = Ideal(big, (mk(big, "x__0*y__0"),))
-    assert image_dimension(closed, jr, 0, saturator=big.var(0)) == 1
-    # removing everything leaves the empty set
-    assert image_dimension(Ideal(big, (big.one(),)), jr, 0, saturator=big.var(0)) == -1
-    assert image_dimension(closed, jr, 0, saturator=big.zero()) == -1
+def test_contact_cell_dim_saturation():
+    # x*y = 0 with x != 0: the closure is the line y = 0
+    assert contact_cell_dim([ContactClause(ideal(R2, "x*y"), ">=", 1),
+                             ContactClause(ideal(R2, "x"), "==", 0)], 0, 0) == 1
+    # removing from the empty set leaves it empty
+    assert contact_cell_dim([ContactClause(ideal(R2, "1"), ">=", 1),
+                             ContactClause(ideal(R2, "x"), "==", 0)], 0, 0) == -1
+
+
+def test_views_do_not_use_the_cell_layout(monkeypatch):
+    """t_expand, contact_ideal and jet_ideal pack in the jet ring's own
+    order: they give the same polynomials when the cell layout is gone."""
+    X = ideal(R2, "x^2 - y^3")
+    clauses = [ContactClause(X, ">=", 3), ContactClause(ideal(R2, "x", "3/2*y^2 + x"), "==", 1)]
+
+    def views():
+        closed, excluded = contact_ideal(clauses, 2)
+        at, at_excluded = contact_ideal(clauses, 2, point=(Fraction(1), Fraction(1)))
+        return (
+            t_expand(mk(R2, "x^2*y - 3/2*y^3 + x - 2"), 3),
+            closed.ideal.gens, tuple(excluded), at.ideal.gens, tuple(at_excluded),
+            jet_ideal(X, 2).ideal.gens,
+        )
+
+    before = views()
+
+    def no_layout(*args):
+        raise AssertionError("a view reached the cell layout")
+
+    monkeypatch.setattr(jets, "_cell_layout", no_layout)
+    assert views() == before
 
 
 def test_liftable_line_smooth_point():

@@ -103,15 +103,6 @@ def test_initial_form_multiplicative():
         assert (f * g).initial_form() == f.initial_form() * g.initial_form()
 
 
-def test_homogeneous_helpers():
-    x, y = R2.gens()
-    f = x**2 + x * y + y + 1
-    assert f.homogeneous_part(2) == x**2 + x * y
-    assert f.homogeneous_part(5).is_zero()
-    assert not f.is_homogeneous()
-    assert (x**2 + x * y).is_homogeneous()
-
-
 def test_leading_data_by_order():
     x, y, z = R3.gens()
     f = x**2 * z + x * y**2
@@ -232,10 +223,3 @@ def test_hash_and_dict_use():
     assert a == b and hash(a) == hash(b)
     d = {a: 1}
     assert d[b] == 1
-
-
-def test_constant_value():
-    assert R2.constant(Fraction(5, 3)).constant_value() == Fraction(5, 3)
-    assert R2.zero().constant_value() == 0
-    with pytest.raises(PreconditionError):
-        R2.var(0).constant_value()
