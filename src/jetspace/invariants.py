@@ -26,11 +26,12 @@ from .errors import AgreementError, PreconditionError, RingMismatchError
 from .groebner import Ideal, gcd_poly, reduced_groebner
 from .jets import (
     ContactClause,
+    _lambda_rows,
     check_point_on,
     contact_cell_dim,
     contact_cell_walk,
+    jacobian_ideal,
     jacobian_of,
-    lambda_sequence,
 )
 from .orders import GREVLEX, Weight
 from .poly import Polynomial, Ring, divide_exact, fresh_name
@@ -153,7 +154,9 @@ def check_mld_hat_equals_n(I, point, e_max=3, budget=None):
             "would need factorization, deferring to the jet route"
         )
 
-    lambda_report = lambda_sequence(I, point, 1, e_max=e_max, budget=budget)
+    if e_max < 0:
+        raise PreconditionError("e_max must be non-negative")
+    lambda_report = _lambda_rows(I, point, n, cone, 1, e_max, budget)
     row = lambda_report.rows[0]
     lambda_verdict = None
     if row.converged and row.value is not None:
@@ -238,6 +241,25 @@ def lct_hat_bound(a, M, on=None, e_max=3, budget=None):
     locus "ord(a) >= m" at jet level m - 1 against m; the threshold is
     the infimum of the ratios and the table minimum bounds it from
     above, exactly when the minimum occurs before the window's edge.
+    That locus is the jet scheme J_{m-1}(V(a)) (Mustata, "Singularities
+    of pairs via jet schemes", JAMS 15, 2002).
+
+    When a = (f) is one generator, the row's dimension is max(m(N - 1),
+    dim S_m), where S_m is the cell [f >= m, jacobian(f) >= 1] of the
+    jets over V(f, df), and the whole jet scheme is never computed:
+      * U = V(f) minus V(df) is the smooth locus of the hypersurface
+        V(f) (Jacobian criterion, characteristic 0).  Over U the
+        (m-1)-jets form a Zariski-locally trivial A^((m-1)(N-1))-bundle
+        (Mustata, "Jet schemes of locally complete intersection
+        canonical singularities", Invent. Math. 145, 2001), so they are
+        empty or of dimension m(N - 1).
+      * J_{m-1}(V(f)) is cut by m equations in A^(Nm) and holds the
+        constant arcs at points of V(f), so by Krull every component
+        has dimension at least m(N - 1): the max is right also when U
+        is empty, as for x^2 or (x^2 - y^3)^2.
+      * ord(df) >= 1 reads level 0 only, so S_m is exactly the rest of
+        the jet scheme.
+    Ideals with more generators take the cell [a >= m] itself.
 
     Singular ambient (on=X): the same contact condition is intersected
     with the liftable locus of X, split into Jacobian-contact cells, and
@@ -260,9 +282,15 @@ def lct_hat_bound(a, M, on=None, e_max=3, budget=None):
     rows = []
     if on is None:
         N = a.ring.ngens
+        # a hypersurface's row measures only the jets over its singular
+        # locus, since the others have dimension m(N - 1) and no component
+        # falls below that; any other ideal's cell is never empty, as a
+        # constant arc at a point of V(a) has every order
+        singular = [ContactClause(jacobian_ideal(a, 1), ">=", 1)] if len(a.gens) == 1 else []
+        floor = N - 1 if singular else 0
         for m in range(1, M + 1):
-            # never empty: a constant arc at a point of V(a) has every order
-            dim = contact_cell_dim([ContactClause(a, ">=", m)], m - 1, m - 1, budget=budget)
+            cell = [ContactClause(a, ">=", m)] + singular
+            dim = max(m * floor, contact_cell_dim(cell, m - 1, m - 1, budget=budget))
             codim = N * m - dim
             rows.append(ThresholdRow(m, codim, Fraction(codim, m), ()))
     else:

@@ -473,8 +473,15 @@ def lambda_sequence(I, point, m_max, e_max=3, budget=None):
         raise PreconditionError(f"variety dimension is {n}; need a positive-dimensional variety")
     from .invariants import tangent_cone  # invariants imports this module
 
+    return _lambda_rows(I, point, n, tangent_cone(I, point, budget), m_max, e_max, budget)
+
+
+def _lambda_rows(I, point, n, cone, m_max, e_max, budget):
+    """lambda_sequence past its argument checks, for a point on the
+    n-dimensional V(I) with tangent cone `cone` there; check-main passes
+    the cone it has built already."""
     # dim O_{X,p} is the dimension of its graded ring, the tangent cone's
-    local = tangent_cone(I, point, budget).ideal.krull_dimension(budget).dimension
+    local = cone.ideal.krull_dimension(budget).dimension
     if local < n:
         raise PreconditionError(
             f"local dimension {local} at the point is below the variety's dimension "

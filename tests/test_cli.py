@@ -300,6 +300,26 @@ def test_budget_ignores_environment(tmp_path, capsys, monkeypatch):
     assert "budget: max_pairs=200000 max_degree=64" in out
 
 
+def test_hypersurface_lct_rows_fit_a_small_budget(tmp_path, capsys):
+    """Smooth lct rows of a hypersurface measure only the jets over its
+    singular locus, which fit where the whole jet scheme would not."""
+    src = tmp_path / "lct.jsp"
+    src.write_text(
+        "ring x, y\nideal A = x^2*y^2 + x^5 + y^5\nbudget max_pairs=300\n"
+        "command lct-bound M=4\n"
+    )
+    code, out = run_cli(capsys, "run", str(src))
+    assert code == 0
+    assert out.split("result:\n")[1].split("data:\n")[0] == (
+        "  row m=1: codim=1 ratio=1\n"
+        "  row m=2: codim=2 ratio=1\n"
+        "  row m=3: codim=2 ratio=2/3\n"
+        "  row m=4: codim=2 ratio=1/2\n"
+        "  bound: 1/2 at m=4 (window edge)\n"
+    )
+    assert out.endswith("status: ok\n")
+
+
 def test_hard_budget_error_is_exit_4(tmp_path, capsys):
     src = tmp_path / "deg.jsp"
     src.write_text("ring x, y\nideal X = x^9 + y\ncommand dim\n")

@@ -402,6 +402,9 @@ def _smooth_lct_cases():
     for _ in range(3):
         a, b = rng.randint(2, 4), rng.randint(2, 5)
         cases.append((ideal(R2, f"x^{a} - y^{b}"), 3))
+    # hypersurfaces with and without smooth points, where lct_hat_bound
+    # measures only the jets over the singular locus
+    cases += [(ideal(R2, "x^2*y"), 4), (ideal(R2, "(x^2 - y^3)^2"), 4)]
     return cases
 
 
@@ -439,6 +442,59 @@ def test_smooth_table_rows_match_direct_jet_computations():
             expanded = tuple(c for g in I.gens for c in t_expand(g, m))
             closed, _ = contact_ideal([ContactClause(I, ">=", m + 1)], m)
             assert jet_ideal(I, m).ideal.gens == closed.ideal.gens == expanded
+
+
+@pytest.mark.parametrize("ring, text, M", [
+    (R2, "x - y^2", 4),  # smooth: no jet over the singular locus
+    (R2, "x^2 - y^2 + 1", 4),  # not through the origin
+    (R2, "x^3 - y^4", 4),
+    (R2, "x*(x^2 - y^3)", 4),
+    (R2, "x^2*y", 4),  # non-reduced, with smooth points
+    (R2, "(x^2 - y^3)^2", 4),  # no smooth point
+    (R2, "x^2", 4),
+    (R3, "x^2 + y^3 + z^3", 3),
+    (R3, "x^2 - y^2*z", 3),  # singular along a line
+    (R3, "x*y*z", 3),
+])
+def test_smooth_lct_hypersurface_rows_match_the_jet_scheme_cell(ring, text, M):
+    """A hypersurface's row takes max(m(N-1), dim S_m) in place of the
+    whole (m-1)-jet scheme [f >= m]; every row must equal that cell."""
+    a = ideal(ring, text)
+    N = ring.ngens
+    direct = [N * m - contact_cell_dim([ContactClause(a, ">=", m)], m - 1, m - 1)
+              for m in range(1, M + 1)]
+    assert [r.codim for r in lct_hat_bound(a, M).rows] == direct
+
+
+def test_smooth_lct_hypersurface_rows_fit_a_small_budget():
+    """The jet scheme cells of these rows need 222 and 345 pairs; the cells
+    over the singular locus fit in far fewer."""
+    table = lct_hat_bound(ideal(R2, "x^2*y^2 + x^5 + y^5"), 4, budget=Budget(max_pairs=200))
+    assert [r.codim for r in table.rows] == [1, 2, 2, 2]
+    assert (table.bound, table.argmin) == (Fraction(1, 2), 4)
+    table = lct_hat_bound(ideal(R2, "x^3 - y^4"), 5, budget=Budget(max_pairs=100))
+    assert [r.codim for r in table.rows] == [1, 2, 2, 3, 4]
+    assert (table.bound, table.argmin) == (Fraction(2, 3), 3)
+
+
+def test_check_builds_the_tangent_cone_once(monkeypatch):
+    """The cone route's cone also gives the jet route its local dimension."""
+    calls = []
+    real = invariants.tangent_cone
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "tangent_cone", counting)
+    for I, point in ((ideal(R2, "x^2 - y^3"), ORIGIN2), (ideal(R3, "x^2 - y^2*z"), ORIGIN3),
+                     (ideal(R3, "x - y^2", "x - z^2"), ORIGIN3)):
+        calls.clear()
+        check_mld_hat_equals_n(I, point)
+        assert len(calls) == 1
+    calls.clear()
+    lambda_sequence(ideal(R2, "x^2 - y^3"), ORIGIN2, 1)
+    assert len(calls) == 1
 
 
 def test_mld_bound_smooth_plane():
