@@ -302,6 +302,9 @@ def _minimal_basis(inputs, mono, budget, grading=None):
     input's sugar is its largest graded degree, a pair's the larger of its
     elements' sugars carried up to the lcm, and a new element keeps its
     pair's.
+
+    An input or pair that reduces to a nonzero constant ends the run: the
+    ideal is the unit ideal, whose minimal basis is that constant alone.
     """
     cap = budget.max_degree
     guards = mono.guards
@@ -391,6 +394,8 @@ def _minimal_basis(inputs, mono, budget, grading=None):
     for ip in inputs:
         nf, _ = _normal_form_ip(_work(ip), 1, basis, memo, mono, cap)
         if nf:
+            if not nf[0][1]:  # a nonzero constant: the unit ideal, whose basis is {1}
+                return [_reducer(_primitive(nf), mono)]
             sugar = max(mono.key(m, grading) for _, m, _ in ip) if grading else 0
             add_element(_primitive(nf), sugar)
 
@@ -426,6 +431,8 @@ def _minimal_basis(inputs, mono, budget, grading=None):
         _subtract(work, a, fi[0][2] // g, fj, lcm_k - fj[0][0], shift_j)
         nf, _ = _normal_form_ip(work, a, basis, memo, mono, cap)
         if nf:
+            if not nf[0][1]:
+                return [_reducer(_primitive(nf), mono)]
             add_element(_primitive(nf), sugar)
 
     # every element was reduced against those before it, so no earlier

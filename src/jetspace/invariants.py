@@ -93,15 +93,18 @@ def has_multiplicity_one_factor(f, budget=None):
     Returns (verdict, certificate): the certificate is the product of
     all multiplicity-one irreducible factors (monic, possibly constant
     when there are none).  No factorization is performed; everything is
-    gcds against partial derivatives, valid in characteristic zero.
+    gcds against partial derivatives, valid in characteristic zero.  A
+    form of degree d has d*f = sum_i x_i * df/dx_i (Euler), so f lies in
+    the ideal of its partials and the gcd starts from the first of them.
     """
     if f.is_zero() or f.is_constant():
         raise PreconditionError("multiplicity-one test needs a nonconstant polynomial")
+    partials = [d for d in map(f.partial_derivative, range(f.ring.ngens)) if not d.is_zero()]
     repeated = f
-    for i in range(f.ring.ngens):
-        d = f.partial_derivative(i)
-        if not d.is_zero():
-            repeated = gcd_poly(repeated, d, budget)
+    if f.degree() == f.min_degree():
+        repeated, partials = partials[0], partials[1:]
+    for d in partials:
+        repeated = gcd_poly(repeated, d, budget)
     radical = divide_exact(f, repeated).monic()
     shared = gcd_poly(radical, repeated, budget)
     certificate = divide_exact(radical, shared).monic()

@@ -274,7 +274,11 @@ def _realize(clauses, m, point, layout):
     closed = []
     excluded = []
     for clause, polys in zip(clauses, gens):
-        for coeffs in _arc_series(polys, m, lay[0], scale):
+        # a clause reads t^0..t^order ("=="), or t^0..t^(order-1) (">=")
+        top = clause.order - (clause.relation == ">=")
+        if top < 0:
+            continue
+        for coeffs in _arc_series(polys, top, lay[0], scale):
             closed.extend(c for c in coeffs[: clause.order] if c)
             if clause.relation == "==":
                 excluded.append(coeffs[clause.order])
@@ -355,7 +359,7 @@ def check_point_on(I, point):
         raise PreconditionError("point does not lie on the variety")
 
 
-def contact_cell_dim(clauses, level, image_level, point=None, budget=None):
+def contact_cell_dim(clauses, level, image_level, point=None, budget=None, bound=None):
     """Dimension of the level-`image_level` image of the locus that the
     contact `clauses` cut out at jet level `level` (through `point` when
     given); -1 when it is empty.
@@ -368,6 +372,12 @@ def contact_cell_dim(clauses, level, image_level, point=None, budget=None):
     largest piece image counts (-1 when all g are zero).  The image is
     truncated by elimination; emptiness is monotone in the level (see
     contact_cell_walk).
+
+    `bound`, when given, must be a proven upper bound on the cell's
+    dimension.  The pieces then stop at the first one whose image
+    reaches it: every piece lies in the cell, so that piece's dimension
+    is at most the cell's, which is at most the bound, and the cell is
+    the largest piece.  The result is the one computed without `bound`.
     """
     def layout(jr, lowest, degree):
         return _cell_layout(jr, image_level, lowest, degree, budget)
@@ -377,16 +387,21 @@ def contact_cell_dim(clauses, level, image_level, point=None, budget=None):
     if not excluded:
         return image_dimension(cell, jr, image_level, None, budget)
     gs = [g for g in excluded if g]
-    pieces = (cell._replace(closed=cell.closed + gs[:i]) for i in range(len(gs)))
-    dims = (image_dimension(piece, jr, image_level, g, budget) for piece, g in zip(pieces, gs))
-    return max(dims, default=-1)
+    best = -1
+    for i, g in enumerate(gs):
+        piece = cell._replace(closed=cell.closed + gs[:i])
+        best = max(best, image_dimension(piece, jr, image_level, g, budget))
+        if bound is not None and best >= bound:
+            break
+    return best
 
 
-def liftable_image_dim(I, point, m, e, jacobian=None, budget=None):
+def liftable_image_dim(I, point, m, e, jacobian=None, budget=None, bound=None):
     """Dimension of the level-m image of jets through `point` that lift
     far enough and meet the Jacobian ideal with contact exactly e: the
     cell [I >= L+1, jacobian == e] at level L = max(m, e) + e; -1 when
-    empty.  `jacobian` defaults to jacobian_of(I).
+    empty.  `jacobian` defaults to jacobian_of(I).  `bound` is a proven
+    upper bound on the result, handed to contact_cell_dim.
     """
     if m < 1:
         raise PreconditionError("jet level m must be at least 1")
@@ -396,7 +411,7 @@ def liftable_image_dim(I, point, m, e, jacobian=None, budget=None):
     jac = jacobian if jacobian is not None else jacobian_of(I, budget)
     L = max(m, e) + e
     clauses = [ContactClause(I, ">=", L + 1), ContactClause(jac, "==", e)]
-    return contact_cell_dim(clauses, L, m, point=point, budget=budget)
+    return contact_cell_dim(clauses, L, m, point=point, budget=budget, bound=bound)
 
 
 def contact_cell_walk(cell):
@@ -458,9 +473,30 @@ def lambda_sequence(I, point, m_max, e_max=3, budget=None):
     convergence.  Rows run serially in level order; a cell proved empty
     is not computed again in later rows (see contact_cell_walk).
 
+    Every cell is computed under a proven upper bound (contact_cell_dim's
+    `bound`): the ceiling m*n, and for the probe also the closed tail
+    T(m, E) = dim [I >= L+1, jac >= E+1] at level L = max(m, E), imaged
+    at level m, with E = e_max.  A probe jet lives at level
+    L' = max(m, E+1) + E+1 >= L; its truncation to level L still has
+    ord I >= L+1 and ord jac = E+1 >= E+1, and every clause of the tail
+    reads arc coefficients up to t^L only, so it lies in the tail cell
+    (the truncation argument of contact_cell_walk) and the probe's image
+    lies in the tail's.  The tail is computed only when a row reaches its
+    probe, inside the row, so a budget it exhausts stops the row.
+
     n is the dimension of V(I), and the rows need V(I) pure of dimension
-    n near `point`: a point where V(I) has smaller local dimension, read
-    off the tangent cone, raises PreconditionError.
+    n near `point`.  A point where V(I) has smaller local dimension, read
+    off the tangent cone, raises PreconditionError.  So does a point on a
+    component of smaller dimension that meets an n-dimensional one: with
+    c = N - n for N variables, an I with more than c generators (at most
+    c make a complete intersection, unmixed by Macaulay's theorem) is
+    saturated by each nonzero (c+1)-minor g of its Jacobian matrix.  The
+    minors vanish on every n-dimensional component, where the Jacobian
+    rank is at most c, but not on a generically reduced component of
+    smaller dimension, where the rank is its codimension (the Jacobian
+    criterion); so I : g^inf vanishing at the point names such a
+    component through it.  A lower-dimensional component that is not
+    generically reduced can escape this test.
     """
     if m_max < 1:
         raise PreconditionError("m_max must be at least 1")
@@ -487,11 +523,30 @@ def _lambda_rows(I, point, n, cone, m_max, e_max, budget):
             f"local dimension {local} at the point is below the variety's dimension "
             f"n = {n}; the point must lie on components of dimension n only"
         )
+    c = I.ring.ngens - n
+    if len(I.gens) > c:  # at most c generators: a complete intersection, unmixed
+        for g in jacobian_ideal(I, c + 1).gens:
+            rest = I.saturate(g, budget)
+            if all(h.evaluate(point) == 0 for h in rest.gens):
+                raise PreconditionError(
+                    f"X is not pure of dimension n = {n} at the point: the {c + 1} x {c + 1} "
+                    f"Jacobian minor {g} is not zero on X : ({g})^inf = {rest}, which "
+                    "passes through the point"
+                )
     jac = jacobian_of(I, budget)
     singular_dim = (I + jac).krull_dimension(budget).dimension
-    walk = contact_cell_walk(
-        lambda m, e: liftable_image_dim(I, point, m, e, jacobian=jac, budget=budget)
-    )
+
+    def tail(m):
+        """T(m, e_max): the closed tail, the probe cell's upper bound."""
+        L = max(m, e_max)
+        clauses = [ContactClause(I, ">=", L + 1), ContactClause(jac, ">=", e_max + 1)]
+        return contact_cell_dim(clauses, L, m, point=point, budget=budget)
+
+    def cell(m, e):
+        bound = m * n if e <= e_max else min(m * n, tail(m))
+        return liftable_image_dim(I, point, m, e, jacobian=jac, budget=budget, bound=bound)
+
+    walk = contact_cell_walk(cell)
 
     def row(m):
         target = m * n

@@ -496,7 +496,7 @@ def test_check_main_curve_without_jet_verdict_stays_open(tmp_path, capsys):
     jet row, the tacnode's verdict is none (it is true), not the cone's."""
     src = tmp_path / "tacnode.jsp"
     src.write_text(
-        "ring x, y\nideal X = x^2 - y^4\npoint 0, 0\nbudget max_pairs=2\n"
+        "ring x, y\nideal X = x^2 - y^4\npoint 0, 0\nbudget max_pairs=1\n"
         "command check-main\n"
     )
     code, out = run_cli(capsys, "run", str(src))
@@ -521,48 +521,18 @@ def test_point_on_a_lower_dimensional_component(tmp_path, capsys):
 
 
 def test_point_where_the_line_meets_the_plane(tmp_path, capsys):
-    """At the origin X = (x*z, y*z) has local dimension 2 = n: both jet
-    commands run as before."""
-    head = "ring x, y, z\nideal X = x*z, y*z\npoint 0, 0, 0\n"
-    src = tmp_path / "origin.jsp"
-    src.write_text(head + "command check-main\n")
-    code, out = run_cli(capsys, "run", str(src))
-    assert code == 0
-    assert out.split("result:\n")[1] == (
-        "  variety dimension n: 2\n"
-        "  tangent cone generator 1: x*z\n"
-        "  tangent cone generator 2: y*z\n"
-        "  cone status: undecided-nonprincipal\n"
-        "  cone verdict: none\n"
-        "  jet row m=1: value=0 converged=true cells=0:-1,1:2\n"
-        "  jet verdict: true\n"
-        "  overall verdict: true\n"
-        "  agreement: none\n"
-        "  note: tangent cone is not principal: the reduced-component test would need "
-        "factorization, deferring to the jet route\n"
-        "data:\n"
-        "  agreement = none\n"
-        "  cone_status = undecided-nonprincipal\n"
-        "  cone_verdict = none\n"
-        "  lambda_1 = 0\n"
-        "  lambda_verdict = true\n"
-        "  n = 2\n"
-        "  verdict = true\n"
-        "status: ok\n"
-    )
-    src.write_text(head + "command lambda m_max=2\n")
-    code, out = run_cli(capsys, "run", str(src))
-    assert code == 0
-    assert out.split("result:\n")[1].split("data:\n")[0] == (
-        "  variety dimension n: 2\n"
-        "  singular locus dimension: 0\n"
-        "  row m=1: value=0 converged=true cells=0:-1,1:2\n"
-        "  row m=2: value=0 converged=true cells=0:-1,1:4\n"
-        "  stabilized lambda: 0\n"
-        "  mld-hat: 2\n"
-        "  note: singular locus is empty or zero-dimensional: the liftable rows equal the "
-        "full defect (isolated-singularity identification)\n"
-    )
+    """At the origin X = (x*z, y*z) has local dimension 2 = n, but the
+    line through it has codimension 2: the 2 x 2 Jacobian minor z^2
+    vanishes on the plane, not on the line X : z^inf = (x, y), so both
+    jet commands stop instead of measuring the line against n = 2."""
+    for command in ("check-main", "lambda m_max=2"):
+        src = tmp_path / "origin.jsp"
+        src.write_text(f"ring x, y, z\nideal X = x*z, y*z\npoint 0, 0, 0\ncommand {command}\n")
+        code, out = run_cli(capsys, "run", str(src))
+        assert code == 3
+        assert "status: precondition-error" in out
+        assert "not pure of dimension n = 2" in out
+        assert "minor z^2 is not zero on X : (z^2)^inf = Ideal(x, y)" in out
 
 
 def test_comments_and_blank_lines(tmp_path, capsys):

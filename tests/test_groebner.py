@@ -583,12 +583,13 @@ def test_saturated_cusp_cell_pair_counts():
 def test_saturated_cusp_cell_pair_counts_on_the_cell_route():
     """contact_cell_dim runs the first saturated basis of the same cell in
     its own ring, with pairs selected by sugar in the arc grading (x_i__j
-    of weight j): 17 pairs, against the 1573 of the ungraded selection
-    that SATURATED_CUSP_PAIRS pins.  The second piece adds the first
-    excluded coefficient as a closed generator and stays within 17."""
+    of weight j): 13 pairs, against the 1573 of the ungraded selection
+    that SATURATED_CUSP_PAIRS pins; the run ends at the pair that reduces
+    to a constant.  The second piece adds the first excluded coefficient
+    as a closed generator and stays within 13."""
     X = ideal(R2, "x^2 - y^3")
     clauses = [ContactClause(X, ">=", 8), ContactClause(jacobian_ideal(X, 1), "==", 2)]
-    pairs = 17
+    pairs = 13
     with pytest.raises(BudgetExhausted) as info:
         contact_cell_dim(clauses, 7, 5, point=(0, 0), budget=Budget(max_pairs=pairs - 1))
     assert str(info.value) == f"pair budget {pairs - 1} exhausted"

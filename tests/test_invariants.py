@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -625,29 +626,69 @@ def test_gcd_lcm_match_sympy():
             assert lcm_poly(f, g) == from_sympy(sympy.lcm(sf, sg)).monic(), (f, g)
 
 
-def test_multiplicity_one_matches_sympy_sqf():
+def _check_multiplicity_one_against_sqf(sympy, ring, f):
     """The verdict and certificate of has_multiplicity_one_factor against
-    sympy's square-free decomposition: the certificate is the product of
-    the multiplicity-1 factors, and the verdict is that it is not 1."""
+    sympy's square-free decomposition: the certificate is the monic
+    product of the multiplicity-1 factors, and the verdict is that it is
+    not 1."""
+    to_sympy, from_sympy = _sympy_bridge(sympy, ring)
+    verdict, cert = has_multiplicity_one_factor(f)
+    _, factors = sympy.sqf_list(to_sympy(f), *sympy.symbols(ring.names))
+    expected = ring.one()
+    for factor, multiplicity in factors:
+        if multiplicity == 1:
+            expected = expected * from_sympy(factor)
+    assert cert == expected.monic(), f
+    assert verdict is not expected.is_constant(), f
+
+
+def _random_products(rng, ring, factor, count):
+    """`count` nonconstant products of `factor(rng, ring)` to the powers
+    1, 2 and 3, each present or not, times a constant."""
+    out = []
+    while len(out) < count:
+        f = ring.constant(rng.choice((-2, 1, 3)))
+        for power in (1, 2, 3):
+            for _ in range(rng.randint(0, 1)):
+                f = f * factor(rng, ring) ** power
+        if not f.is_constant():
+            out.append(f)
+    return out
+
+
+def test_multiplicity_one_matches_sympy_sqf():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(5050)
     for ring in (R2, R3):
-        to_sympy, from_sympy = _sympy_bridge(sympy, ring)
-        for _ in range(20):
-            f = ring.constant(rng.choice((-2, 1, 3)))
-            for power in (1, 2, 3):
-                for _ in range(rng.randint(0, 1)):
-                    f = f * _random_factor(rng, ring) ** power
-            if f.is_constant():
-                continue
-            verdict, cert = has_multiplicity_one_factor(f)
-            _, factors = sympy.sqf_list(to_sympy(f), *sympy.symbols(ring.names))
-            expected = ring.one()
-            for factor, multiplicity in factors:
-                if multiplicity == 1:
-                    expected = expected * from_sympy(factor)
-            assert cert == expected.monic(), f
-            assert verdict is not expected.is_constant(), f
+        for f in _random_products(rng, ring, _random_factor, 20):
+            _check_multiplicity_one_against_sqf(sympy, ring, f)
+
+
+def _random_form(rng, ring):
+    """Nonzero form of degree 1 or 2 with 1-3 terms and coefficients in
+    -3..3."""
+    degree = rng.randint(1, 2)
+    monomials = [e for e in product(range(degree + 1), repeat=ring.ngens) if sum(e) == degree]
+    while True:
+        p = ring.zero()
+        for _ in range(rng.randint(1, 3)):
+            p = p + ring.monomial(rng.choice(monomials), Fraction(rng.randint(-3, 3)))
+        if not p.is_zero():
+            return p
+
+
+def test_multiplicity_one_on_forms_matches_sympy_sqf():
+    """Forms start the gcd from a partial derivative (Euler's identity),
+    other polynomials from f itself: both paths against sympy, on
+    products of forms and on the same products shifted off the origin."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(6060)
+    for ring in (R2, R3):
+        for f in _random_products(rng, ring, _random_form, 20):
+            assert f.degree() == f.min_degree()
+            _check_multiplicity_one_against_sqf(sympy, ring, f)
+            shifted = f.translate(tuple(rng.randint(-1, 1) for _ in ring.names))
+            _check_multiplicity_one_against_sqf(sympy, ring, shifted)
 
 
 # (record, fields in order, defaults) for every record the package exports

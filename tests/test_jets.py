@@ -12,6 +12,7 @@ import pytest
 import jetspace.jets as jets
 from jetspace.errors import AgreementError, BudgetExhausted, PreconditionError
 from jetspace.groebner import Budget, Ideal
+from jetspace.invariants import check_mld_hat_equals_n
 from jetspace.jets import (
     ContactClause,
     JetRing,
@@ -685,11 +686,11 @@ def _reference_cell_dim(clauses, level, image_level, point=None):
     )
 
 
-def _reference_cells():
-    """(label, clauses, level, image_level, point) of the reference table."""
+def _lambda_tables():
+    """(ring, text, point, m_max, e_max) of the lambda tables in the
+    reference table."""
     R3 = Ring(("x", "y", "z"))
-    cells = []
-    for ring, text, point, m_max, e_max in [
+    return [
         (R2, "x^2 - y^3", (0, 0), 3, 3),
         (R2, "x*y", (0, 0), 3, 2),
         (R2, "x^2 - y^4", (0, 0), 3, 2),
@@ -697,7 +698,14 @@ def _reference_cells():
         (R3, "x^2 + y^2 + z^3", (0, 0, 0), 2, 2),
         (R3, "x^2 - y^4", (0, 0, 0), 2, 2),
         (R2, "x*y - 1", (1, 1), 2, 1),
-    ]:
+    ]
+
+
+def _reference_cells():
+    """(label, clauses, level, image_level, point) of the reference table."""
+    R3 = Ring(("x", "y", "z"))
+    cells = []
+    for ring, text, point, m_max, e_max in _lambda_tables():
         X = ideal(ring, text)
         jac = jacobian_ideal(X, 1)
         for m in range(1, m_max + 1):
@@ -743,3 +751,63 @@ def test_contact_cell_dim_matches_reference_route(clauses, level, image_level, p
     assert contact_cell_dim(clauses, level, image_level, point=point) == _reference_cell_dim(
         clauses, level, image_level, point
     )
+
+
+@pytest.mark.parametrize(
+    "clauses, level, image_level, point",
+    [
+        pytest.param(*cell, id=label)
+        for label, *cell in _reference_cells()
+        if any(clause.relation == "==" for clause in cell[0])
+    ],
+)
+def test_contact_cell_dim_bound_keeps_the_value(clauses, level, image_level, point):
+    """A proven upper bound only stops the pieces early: the value is the
+    unbounded one, whether the bound is tight or one above."""
+    value = contact_cell_dim(clauses, level, image_level, point=point)
+    for bound in (value, value + 1):
+        got = contact_cell_dim(clauses, level, image_level, point=point, bound=bound)
+        assert got == value, bound
+
+
+@pytest.mark.parametrize(
+    "ring, text, point, m_max, e_max",
+    _lambda_tables(),
+    ids=[f"{text} at {point}" for _, text, point, _, _ in _lambda_tables()],
+)
+def test_probe_cell_lies_in_the_closed_tail(ring, text, point, m_max, e_max):
+    """The probe cell (m, e_max + 1), computed without a bound, is at
+    most the closed tail T(m, e_max) that lambda rows bound it by."""
+    X = ideal(ring, text)
+    jac = jacobian_ideal(X, 1)
+    for m in range(1, m_max + 1):
+        probe = liftable_image_dim(X, point, m, e_max + 1, jacobian=jac)
+        L = max(m, e_max)
+        tail = [ContactClause(X, ">=", L + 1), ContactClause(jac, ">=", e_max + 1)]
+        assert probe <= contact_cell_dim(tail, L, m, point=point), m
+
+
+def test_check_main_probe_stops_at_the_tail(monkeypatch):
+    """check-main on the D4 surface: the tail (dimension 0) costs one
+    cell, and the probe (m, e) = (1, 4) stops after the first of its
+    three pieces, which reaches 0; 9 images in all, against 10 without
+    the bound.  The row and the cell calls are unchanged."""
+    images, cells = [], []
+    real_image, real_cell = jets.image_dimension, jets.liftable_image_dim
+
+    def image(*args, **kwargs):
+        images.append(args[2])
+        return real_image(*args, **kwargs)
+
+    def cell(I, point, m, e, **kwargs):
+        cells.append((m, e))
+        return real_cell(I, point, m, e, **kwargs)
+
+    monkeypatch.setattr(jets, "image_dimension", image)
+    monkeypatch.setattr(jets, "liftable_image_dim", cell)
+    R3 = Ring(("x", "y", "z"))
+    report = check_mld_hat_equals_n(ideal(R3, "x^2 + y^3 + z^3"), (0, 0, 0))
+    row = report.lambda_report.rows[0]
+    assert row.cells == ((0, -1), (1, -1), (2, 1), (3, 0), (4, 0)) and row.converged
+    assert len(images) == 9
+    assert cells == [(1, e) for e in range(5)]
