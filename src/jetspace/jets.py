@@ -127,7 +127,9 @@ def _cell_layout(jr, image_level, lowest, degree, budget):
     """(places, mono, k, grading) of a cell of `jr` imaged at `image_level`.
 
     places[i][j] is x_i__j as a packed unit monomial of `mono`, None below
-    `lowest` (through a point arcs start at t^1, so level 0 is left out).
+    `lowest`, the lowest level an arc may use: 0 for a free base point,
+    1 through a point (level 0 is the point), image_level + 1 on the
+    vertex fiber of contact_cell_dim, where no image level is left.
     The variables are w (for saturation), the levels above the image
     level (eliminated, k variables in all) from the lowest up, then the
     image levels from the top down, so `lowest` comes last.  The t^e
@@ -247,7 +249,8 @@ def _realize(clauses, m, point, layout):
     `closed` lists the nonzero coefficients the closed conditions set to
     0, and `excluded` the t^e coefficients of the "==" clause's
     generators.  With `point`, the clause ideals are translated so the
-    point sits at the origin, and arcs start at level 1."""
+    point sits at the origin, and `layout` is asked for arcs from level 1
+    (contact_cell_dim's may start them higher)."""
     if not clauses:
         raise PreconditionError("empty contact clause list")
     base = clauses[0].ideal.ring
@@ -378,9 +381,25 @@ def contact_cell_dim(clauses, level, image_level, point=None, budget=None, bound
     reaches it: every piece lies in the cell, so that piece's dimension
     is at most the cell's, which is at most the bound, and the cell is
     the largest piece.  The result is the one computed without `bound`.
+
+    Vertex fiber.  Through `point`, a bound of at most 0 computes the
+    cell on {x__1 = ... = x__m = 0}, m = image_level: the arcs start at
+    t^(m+1), and every level left is eliminated.  With the point at the
+    origin, the t^k coefficient of an arc expansion is
+    weighted-homogeneous of degree k when x_i__j weighs j, so t -> c*t,
+    which maps x_i__j to c^j * x_i__j and w to c^(-e) * w, maps every
+    piece to itself.  Its level-m image is then a cone for the positive
+    weights 1..m: the orbit of an image point other than 0 is a curve in
+    it, so an image of dimension <= 0 is empty or the point 0.  So the
+    cell lies over x__1 = ... = x__m = 0, and it is nonempty exactly when
+    its restriction there is.  Each restricted piece lies in the cell, so
+    the stop rule above stays exact.  Without a point the arcs are not
+    stable under t -> c*t, and the full layout is kept.
     """
+    vertex = point is not None and bound is not None and bound <= 0
+
     def layout(jr, lowest, degree):
-        return _cell_layout(jr, image_level, lowest, degree, budget)
+        return _cell_layout(jr, image_level, image_level + 1 if vertex else lowest, degree, budget)
 
     jr, (_, mono, k, grading), scale, closed, excluded = _realize(clauses, level, point, layout)
     cell = PackedCell(mono, k, closed, scale, grading)
@@ -482,7 +501,9 @@ def lambda_sequence(I, point, m_max, e_max=3, budget=None):
     reads arc coefficients up to t^L only, so it lies in the tail cell
     (the truncation argument of contact_cell_walk) and the probe's image
     lies in the tail's.  The tail is computed only when a row reaches its
-    probe, inside the row, so a budget it exhausts stops the row.
+    probe, inside the row, so a budget it exhausts stops the row.  A
+    probe whose tail is at most 0 runs on its vertex fiber, with the
+    image levels left out (see contact_cell_dim).
 
     n is the dimension of V(I), and the rows need V(I) pure of dimension
     n near `point`.  A point where V(I) has smaller local dimension, read

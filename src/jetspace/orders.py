@@ -110,6 +110,12 @@ class GrevLex(TermOrder):
             tuple(-u for u in unit) for unit in reversed(_units(n))
         )
 
+    def weights(self, n, degree):
+        """The fold of rows(n) in closed form: every row has radix
+        R = degree + 1, so w_i = R^n - R^i."""
+        radix = degree + 1
+        return tuple(radix**n - radix**i for i in range(n))
+
     def tag(self):
         return ("grevlex",)
 
@@ -144,6 +150,18 @@ class Block(TermOrder):
         head = tuple(row + (0,) * (n - k) for row in GREVLEX.rows(k))
         tail = tuple((0,) * k + row for row in self.inner.rows(n - k))
         return head + tail
+
+    def weights(self, n, degree):
+        """With a grevlex tail, the fold of rows(n) in closed form: the
+        head's grevlex weights scaled by the radices R = degree + 1 of the
+        tail's n - k + 1 rows (by 1 when k = n, where the tail's one row
+        is zero), then the tail's grevlex weights."""
+        if not isinstance(self.inner, GrevLex):
+            return super().weights(n, degree)
+        k = min(self.k, n)
+        scale = (degree + 1) ** (n - k + 1) if k < n else 1
+        head = GREVLEX.weights(k, degree)
+        return tuple(w * scale for w in head) + GREVLEX.weights(n - k, degree)
 
     def tag(self):
         return ("block", self.k, self.inner.tag())

@@ -811,3 +811,60 @@ def test_check_main_probe_stops_at_the_tail(monkeypatch):
     assert row.cells == ((0, -1), (1, -1), (2, 1), (3, 0), (4, 0)) and row.converged
     assert len(images) == 9
     assert cells == [(1, e) for e in range(5)]
+
+
+def _recording_images(monkeypatch):
+    """Replace jets.image_dimension by a wrapper that records (jet level,
+    image level, k, variable count) of every packed cell it is handed."""
+    seen = []
+    real = jets.image_dimension
+
+    def image(cell, jet_ring, image_level, *args, **kwargs):
+        seen.append((jet_ring.level, image_level, cell.k, len(cell.mono.offsets)))
+        return real(cell, jet_ring, image_level, *args, **kwargs)
+
+    monkeypatch.setattr(jets, "image_dimension", image)
+    return seen
+
+
+def test_zero_bound_cells_through_a_point_run_on_the_vertex_fiber(monkeypatch):
+    """Every "==" reference cell through a point whose value is at most 0
+    keeps that value under bound 0, computed with every variable
+    eliminated: the image levels are left out of its layout."""
+    cells = [
+        cell
+        for cell in _reference_cells()
+        if cell[4] is not None and any(clause.relation == "==" for clause in cell[1])
+    ]
+    values = {label: contact_cell_dim(c, level, m, point=p) for label, c, level, m, p in cells}
+    seen = _recording_images(monkeypatch)
+    checked = set()
+    for label, clauses, level, image_level, point in cells:
+        if values[label] <= 0:
+            got = contact_cell_dim(clauses, level, image_level, point=point, bound=0)
+            assert got == values[label], label
+            checked.add(got)
+    assert checked == {-1, 0}
+    assert seen and all(k == nvars for _, _, k, nvars in seen)
+
+
+def test_zero_bound_cell_without_a_point_keeps_its_full_layout(monkeypatch):
+    """Without a point the arcs are not stable under t -> c*t: bound 0
+    stops the pieces but leaves the image levels in the layout."""
+    clauses = [ContactClause(ideal(R2, "x^2"), "==", 1)]
+    seen = _recording_images(monkeypatch)
+    assert contact_cell_dim(clauses, 2, 0, bound=0) == -1
+    assert seen == [(2, 0, 1 + 2 * 2, 1 + 2 * 3)]
+
+
+def test_check_main_probe_runs_on_the_vertex_fiber(monkeypatch):
+    """check-main on the D4 surface: the tail bounds the probe (m, e) =
+    (1, 4) by 0, so the probe at level 8 runs in 1 + 3 * 7 = 22
+    variables, all eliminated, instead of 1 + 3 * 8 = 25; the row is
+    unchanged."""
+    seen = _recording_images(monkeypatch)
+    R3 = Ring(("x", "y", "z"))
+    report = check_mld_hat_equals_n(ideal(R3, "x^2 + y^3 + z^3"), (0, 0, 0))
+    assert report.lambda_report.rows[0].cells == ((0, -1), (1, -1), (2, 1), (3, 0), (4, 0))
+    probe = [s for s in seen if s[0] == 8]
+    assert probe and all(s == (8, 1, 22, 22) for s in probe)

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from jetspace.orders import GREVLEX, GRLEX, LEX, Block, GrevLex, Weight
+from jetspace.orders import GREVLEX, GRLEX, LEX, Block, GrevLex, TermOrder, Weight
 
 
 def rank(order, exps_list):
@@ -132,3 +132,16 @@ def test_linear_weights_sort_like_key(order):
     assert by_weight == by_key
     # distinct monomials get distinct linear keys
     assert len({sum(a * b for a, b in zip(w, e)) for e in by_key}) == len(by_key)
+
+
+@pytest.mark.parametrize("inner", [GREVLEX, LEX], ids=repr)
+def test_closed_form_weights_equal_the_fold(inner):
+    """GrevLex and Block(k, GREVLEX) compute their weights in closed form;
+    they must equal the fold of rows(n) that TermOrder.weights makes."""
+    for degree in (1, 2, 64, 128, 300):
+        for n in range(31):
+            if inner is GREVLEX:
+                assert GREVLEX.weights(n, degree) == TermOrder.weights(GREVLEX, n, degree)
+            for k in range(n + 2):
+                order = Block(k, inner)
+                assert order.weights(n, degree) == TermOrder.weights(order, n, degree), (n, k)
