@@ -46,7 +46,6 @@ from .jets import (
     LambdaReport,
     LambdaRow,
     contact_ideal,
-    get_jet_ring,
     image_dimension,
     jacobian_ideal,
     jet_ideal,
@@ -98,7 +97,6 @@ __all__ = [
     "contact_ideal",
     "divide_exact",
     "gcd_poly",
-    "get_jet_ring",
     "has_multiplicity_one_factor",
     "image_dimension",
     "jacobian_ideal",

@@ -648,22 +648,27 @@ class Ideal:
         return eliminated
 
     def saturate(self, f, budget=None):
-        """Saturation: everything that lands in the ideal after enough
-        multiplications by f."""
-        if f.is_zero():
+        """I : (g_1, ..., g_k)^inf, for `f` one polynomial or a sequence of
+        them (zeros are dropped): the fresh t_i eliminated from
+        (I, 1 - t_1*g_1 - ... - t_k*g_k)."""
+        gs = [g for g in ((f,) if isinstance(f, Polynomial) else f) if not g.is_zero()]
+        if not gs:
             raise PreconditionError("cannot saturate by zero")
-        if f.ring != self.ring:
+        if any(g.ring != self.ring for g in gs):
             raise RingMismatchError("saturation element in wrong ring")
-        if f.is_constant():
+        if any(g.is_constant() for g in gs):
             return self
-        names = self.ring.names
-        w = fresh_name("t", names)
-        big = Ring((w,) + names)
-        index_map = {i: i + 1 for i in range(len(names))}
+        names, k = self.ring.names, len(gs)
+        fresh = ()
+        for _ in gs:
+            fresh += (fresh_name("t", names + fresh),)
+        big = Ring(fresh + names)
+        index_map = {i: i + k for i in range(len(names))}
         lifted = [map_variables(g, big, index_map) for g in self.gens]
-        f_big = map_variables(f, big, index_map)
-        lifted.append(big.one() - big.var(0) * f_big)
-        return Ideal(big, tuple(lifted)).eliminate(1, budget)
+        last = big.one()
+        for i, g in enumerate(gs):
+            last = last - big.var(i) * map_variables(g, big, index_map)
+        return Ideal(big, tuple(lifted) + (last,)).eliminate(k, budget)
 
     def intersect_with(self, other, budget=None):
         if self.ring != other.ring:

@@ -8,7 +8,8 @@ dimension.  It runs two independent routes:
 
   * a tangent-cone route: the answer is yes exactly when the tangent
     cone at the point has an irreducible component of multiplicity one
-    (decidable without factoring when the cone is principal);
+    (decidable without factoring when the cone is principal, by one
+    saturation of the cone's generator by its partial derivatives);
   * a jet route: the answer is yes exactly when the liftable 1-jets
     through the point already sweep out the maximal possible dimension.
 
@@ -23,7 +24,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import AgreementError, PreconditionError, RingMismatchError
-from .groebner import Ideal, gcd_poly, reduced_groebner
+from .groebner import Ideal, reduced_groebner
 from .jets import (
     ContactClause,
     _lambda_rows,
@@ -34,7 +35,7 @@ from .jets import (
     jacobian_of,
 )
 from .orders import GREVLEX, Weight
-from .poly import Polynomial, Ring, divide_exact, fresh_name
+from .poly import Polynomial, Ring, fresh_name
 
 
 # The cone of initial forms of an ideal at a (translated) point.
@@ -90,24 +91,22 @@ def tangent_cone(I, point=None, budget=None):
 def has_multiplicity_one_factor(f, budget=None):
     """Whether a polynomial has an irreducible factor of multiplicity one.
 
-    Returns (verdict, certificate): the certificate is the product of
-    all multiplicity-one irreducible factors (monic, possibly constant
-    when there are none).  No factorization is performed; everything is
-    gcds against partial derivatives, valid in characteristic zero.  A
-    form of degree d has d*f = sum_i x_i * df/dx_i (Euler), so f lies in
-    the ideal of its partials and the gcd starts from the first of them.
+    Returns (verdict, certificate): the certificate is the monic product
+    of the multiplicity-one irreducible factors (1 when there are none),
+    found without factoring as (f) : (df/dx_1, ..., df/dx_N)^inf.  Proof,
+    in characteristic zero: for f = prod p_i^e_i, (f) is the intersection
+    of the primary ideals (p_i^e_i), and the saturation keeps those whose
+    prime (p_i) misses a partial.  If e_i >= 2, p_i divides every partial.
+    If e_i = 1, df/dx_j = (dp_i/dx_j) * f/p_i mod p_i, and p_i divides
+    neither factor for an x_j that occurs in p_i.  The certificate is read
+    off the reduced basis: with a constant partial the saturation is (f)
+    itself, not made monic.
     """
     if f.is_zero() or f.is_constant():
         raise PreconditionError("multiplicity-one test needs a nonconstant polynomial")
-    partials = [d for d in map(f.partial_derivative, range(f.ring.ngens)) if not d.is_zero()]
-    repeated = f
-    if f.degree() == f.min_degree():
-        repeated, partials = partials[0], partials[1:]
-    for d in partials:
-        repeated = gcd_poly(repeated, d, budget)
-    radical = divide_exact(f, repeated).monic()
-    shared = gcd_poly(radical, repeated, budget)
-    certificate = divide_exact(radical, shared).monic()
+    partials = [f.partial_derivative(i) for i in range(f.ring.ngens)]
+    saturated = Ideal(f.ring, (f,)).saturate(partials, budget)
+    (certificate,) = saturated.groebner_basis(GREVLEX, budget)
     return (not certificate.is_constant(), certificate)
 
 

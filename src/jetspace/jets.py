@@ -13,13 +13,11 @@ contact_ideal and jet_ideal expand into _view_layout, the jet ring's own
 order, and unpack.
 
 Budget discipline: all Groebner work is routed through the budget handed
-in by the caller; this module adds no caps of its own.  The jet-ring
-cache is a bounded LRU cache.
+in by the caller; this module adds no caps of its own.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import lcm
 
@@ -53,13 +51,6 @@ class JetRing:
 
     def __repr__(self):
         return f"JetRing({self.base!r}, level={self.level})"
-
-
-# each cell asks for its ring; the heaviest known command touches a few
-# dozen (base, level) keys
-@lru_cache(maxsize=1024)
-def get_jet_ring(base, level):
-    return JetRing(base, level)
 
 
 def _series_mul(a, b, m):
@@ -189,7 +180,7 @@ def t_expand(p, m):
     """
     if m < 0:
         raise PreconditionError("truncation level must be non-negative")
-    jr = get_jet_ring(p.ring, m)
+    jr = JetRing(p.ring, m)
     den = lcm(*(c.denominator for c in p.terms.values()))
     places, mono = _view_layout(jr, 0, p.degree())
     return tuple(_jet_polys(jr, mono, _arc_series([p], m, places, den)[0], den))
@@ -217,7 +208,7 @@ JetIdeal = namedtuple("JetIdeal", "jet_ring ideal")
 def jet_ideal(I, m):
     """Equations of the m-jet scheme of V(I): the closed part of the
     contact condition ord(I) >= m + 1 at jet level m."""
-    jr = get_jet_ring(I.ring, m)
+    jr = JetRing(I.ring, m)
     if not I.gens:
         return JetIdeal(jr, Ideal(jr.ring, ()))
     return contact_ideal([ContactClause(I, ">=", m + 1)], m)[0]
@@ -268,7 +259,7 @@ def _realize(clauses, m, point, layout):
             eq_seen = True
     if point is not None and len(point) != base.ngens:
         raise PreconditionError("point arity does not match ring")
-    jr = get_jet_ring(base, m)
+    jr = JetRing(base, m)
     # with a saturator 1 - w*g one degree above its generators
     degree = 1 + max(g.degree() for clause in clauses for g in clause.ideal.gens)
     lay = layout(jr, int(point is not None), degree)
@@ -517,7 +508,10 @@ def lambda_sequence(I, point, m_max, e_max=3, budget=None):
     smaller dimension, where the rank is its codimension (the Jacobian
     criterion); so I : g^inf vanishing at the point names such a
     component through it.  A lower-dimensional component that is not
-    generically reduced can escape this test.
+    generically reduced can escape this test, so the cone check stays:
+    X = (x^2*z, y*z) at (0, 0, 1) is locally the doubled line
+    x^2 = y = 0, and each of its minors 2*x*z^2, 2*x*y*z, -x^2*z
+    saturates X to the unit ideal, but its cone there has dimension 1.
     """
     if m_max < 1:
         raise PreconditionError("m_max must be at least 1")

@@ -28,7 +28,7 @@ from jetspace.invariants import (
     mld_hat_from_lambda,
     ord_blowup_origin,
 )
-from jetspace.jets import get_jet_ring, lambda_sequence, pad_to_jet_ring, t_expand
+from jetspace.jets import JetRing, lambda_sequence, pad_to_jet_ring, t_expand
 from jetspace.parser import parse_polynomial
 from jetspace.poly import Ring
 
@@ -298,7 +298,7 @@ def test_criterion_7_arc_expansion_identities():
 
     for _ in range(100):
         m = rng.randint(0, 4)
-        jr = get_jet_ring(R2, m)
+        jr = JetRing(R2, m)
         f, g = rand_poly(), rand_poly()
         cf, cg, cfg = t_expand(f, m), t_expand(g, m), t_expand(f * g, m)
         for k in range(m + 1):

@@ -496,7 +496,7 @@ def test_check_main_curve_without_jet_verdict_stays_open(tmp_path, capsys):
     jet row, the tacnode's verdict is none (it is true), not the cone's."""
     src = tmp_path / "tacnode.jsp"
     src.write_text(
-        "ring x, y\nideal X = x^2 - y^4\npoint 0, 0\nbudget max_pairs=1\n"
+        "ring x, y\nideal X = x^2 - y^4\npoint 0, 0\nbudget max_degree=4\n"
         "command check-main\n"
     )
     code, out = run_cli(capsys, "run", str(src))
@@ -510,14 +510,18 @@ def test_check_main_curve_without_jet_verdict_stays_open(tmp_path, capsys):
 
 def test_point_on_a_lower_dimensional_component(tmp_path, capsys):
     """X = (x*z, y*z) is a plane and a line; at (0, 0, 1) it is locally
-    the line, so the jet route stops instead of measuring against n = 2."""
-    for command in ("check-main", "lambda m_max=2"):
-        src = tmp_path / "line.jsp"
-        src.write_text(f"ring x, y, z\nideal X = x*z, y*z\npoint 0, 0, 1\ncommand {command}\n")
-        code, out = run_cli(capsys, "run", str(src))
-        assert code == 3
-        assert "status: precondition-error" in out
-        assert "local dimension 1 at the point" in out and "n = 2" in out
+    the line, so the jet route stops instead of measuring against n = 2.
+    X = (x^2*z, y*z) is there locally the doubled line x^2 = y = 0, which
+    only the tangent-cone check catches: every 2 x 2 Jacobian minor
+    saturates X to the unit ideal."""
+    for X in ("x*z, y*z", "x^2*z, y*z"):
+        for command in ("check-main", "lambda m_max=2"):
+            src = tmp_path / "line.jsp"
+            src.write_text(f"ring x, y, z\nideal X = {X}\npoint 0, 0, 1\ncommand {command}\n")
+            code, out = run_cli(capsys, "run", str(src))
+            assert code == 3
+            assert "status: precondition-error" in out
+            assert "local dimension 1 at the point" in out and "n = 2" in out
 
 
 def test_point_where_the_line_meets_the_plane(tmp_path, capsys):

@@ -115,6 +115,12 @@ def test_saturations_frozen():
     assert ideal(R2, "x*y").saturate(R2.constant(5)).equals(ideal(R2, "x*y"))
     with pytest.raises(PreconditionError):
         ideal(R2, "x").saturate(R2.zero())
+    # several saturators at once: I : (g_1, ..., g_k)^inf
+    assert ideal(R2, "x^2", "x*y").saturate((x, y)).equals(ideal(R2, "x"))
+    with pytest.raises(PreconditionError):
+        ideal(R2, "x").saturate((R2.zero(), R2.zero()))
+    I = ideal(R2, "x^2", "x*y")
+    assert I.saturate((x, R2.zero(), R2.constant(5))) is I
 
 
 def test_intersections_frozen():
@@ -693,3 +699,16 @@ def test_eliminated_ideal_keeps_its_grevlex_basis():
             if 0 < k < R3.ngens:
                 assert GREVLEX.tag() in J._gb_cache
             assert J.groebner_basis() == reduced_groebner(J.gens, GREVLEX), (gens, k)
+
+
+def test_saturation_by_two_is_the_meet_of_saturations_by_each():
+    """I : (g, h)^inf = (I : g^inf) intersected with (I : h^inf) on the
+    criterion-6 ideals, with seeded random g and h."""
+    rng = random.Random(24)
+    for gens in criterion_6_ideals(30):
+        I = Ideal(R3, gens)
+        g, h = random_zero_constant_poly(rng, R3), random_zero_constant_poly(rng, R3)
+        if g.is_zero() or h.is_zero():
+            continue
+        meet = I.saturate(g).intersect_with(I.saturate(h))
+        assert I.saturate((g, h)).equals(meet), (gens, g, h)

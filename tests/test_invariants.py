@@ -9,6 +9,8 @@ import pytest
 import jetspace
 import jetspace.groebner as groebner
 import jetspace.invariants as invariants
+from jetspace.cli import parse_input
+from jetspace.corpus import CORPUS
 from jetspace.errors import BudgetExhausted, PreconditionError
 from jetspace.groebner import Budget, Ideal, gcd_poly, lcm_poly
 from jetspace.invariants import (
@@ -22,9 +24,9 @@ from jetspace.invariants import (
 )
 from jetspace.jets import (
     ContactClause,
+    JetRing,
     contact_cell_dim,
     contact_ideal,
-    get_jet_ring,
     jacobian_ideal,
     jet_ideal,
     lambda_sequence,
@@ -390,7 +392,7 @@ def test_lct_on_table_does_not_depend_on_the_presentation():
 def _direct_dim(gens_by_order, ring, level):
     """Krull dimension of the contact locus {ord g >= k}, built from the
     arc expansions alone: the t^0..t^(k-1) coefficients of each g."""
-    big = get_jet_ring(ring, level).ring
+    big = JetRing(ring, level).ring
     gens = []
     for g, k in gens_by_order:
         gens.extend(t_expand(g, level)[:k])
@@ -496,6 +498,28 @@ def test_check_builds_the_tangent_cone_once(monkeypatch):
     calls.clear()
     lambda_sequence(ideal(R2, "x^2 - y^3"), ORIGIN2, 1)
     assert len(calls) == 1
+
+
+def test_cone_route_needs_no_intersection(monkeypatch):
+    """The corpus check-main entries decide their cone route by one
+    saturation: no gcd, so no intersection of ideals."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cone route intersected two ideals")
+
+    monkeypatch.setattr(Ideal, "intersect_with", refuse)
+    expected = {
+        "line": (True, "y"),
+        "tacnode": (False, "1"),
+        "umbrella": (False, "1"),
+        "sphere": (True, "x^2 + y^2 + z^2"),
+        "tripleline": (True, "x - y"),
+    }
+    for name, (verdict, certificate) in expected.items():
+        doc = parse_input(CORPUS[name])
+        report = check_mld_hat_equals_n(doc.ideals["X"], doc.point)
+        assert report.cone_status == "decided", name
+        assert (report.cone_verdict, str(report.cone_certificate)) == (verdict, certificate), name
 
 
 def test_mld_bound_smooth_plane():
@@ -611,7 +635,7 @@ def _random_factor(rng, ring):
 
 
 def test_gcd_lcm_match_sympy():
-    """gcd_poly and lcm_poly, which the cone route runs on tangent cones,
+    """gcd_poly and lcm_poly, public library beside the cone route,
     against sympy.gcd and sympy.lcm on pairs sharing a random factor."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(4040)
@@ -678,9 +702,9 @@ def _random_form(rng, ring):
 
 
 def test_multiplicity_one_on_forms_matches_sympy_sqf():
-    """Forms start the gcd from a partial derivative (Euler's identity),
-    other polynomials from f itself: both paths against sympy, on
-    products of forms and on the same products shifted off the origin."""
+    """Products of forms, the tangent cones the cone route sees, and the
+    same products shifted off the origin, which are no longer forms:
+    both against sympy's square-free factorization."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(6060)
     for ring in (R2, R3):

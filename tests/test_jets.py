@@ -18,7 +18,6 @@ from jetspace.jets import (
     JetRing,
     contact_cell_dim,
     contact_ideal,
-    get_jet_ring,
     jacobian_ideal,
     jacobian_of,
     jet_ideal,
@@ -44,23 +43,19 @@ def ideal(ring, *texts):
 
 
 def test_jet_ring_layout():
-    jr = get_jet_ring(R2, 2)
+    jr = JetRing(R2, 2)
     assert jr.ring.names == ("x__0", "y__0", "x__1", "y__1", "x__2", "y__2")
     assert jr.index(0, 0) == 0
     assert jr.index(1, 2) == 5
     assert str(jr.var(1, 1)) == "y__1"
     assert jr.level_indices(1) == [2, 3]
     # level-major layout: lower levels are a prefix
-    lo = get_jet_ring(R2, 1)
+    lo = JetRing(R2, 1)
     assert jr.ring.names[: lo.ring.ngens] == lo.ring.names
 
 
-def test_jet_ring_cache_identity():
-    assert get_jet_ring(R2, 3) is get_jet_ring(R2, 3)
-
-
 def test_jet_ring_bad_index():
-    jr = get_jet_ring(R2, 1)
+    jr = JetRing(R2, 1)
     with pytest.raises(PreconditionError):
         jr.index(0, 2)
     with pytest.raises(PreconditionError):
@@ -68,14 +63,14 @@ def test_jet_ring_bad_index():
 
 
 def test_t_expand_single_variable():
-    jr = get_jet_ring(R2, 2)
+    jr = JetRing(R2, 2)
     coeffs = t_expand(mk(R2, "x"), 2)
     assert coeffs == (jr.var(0, 0), jr.var(0, 1), jr.var(0, 2))
 
 
 def test_t_expand_cusp_frozen():
     # x^2 - y^3 expanded to level 2
-    jr = get_jet_ring(R2, 2)
+    jr = JetRing(R2, 2)
     big = jr.ring
     coeffs = t_expand(mk(R2, "x^2 - y^3"), 2)
     assert len(coeffs) == 3
@@ -86,7 +81,7 @@ def test_t_expand_cusp_frozen():
 
 def test_t_expand_constant_and_zero():
     coeffs = t_expand(R2.constant(Fraction(5, 2)), 1)
-    big = get_jet_ring(R2, 1).ring
+    big = JetRing(R2, 1).ring
     assert coeffs == (big.constant(Fraction(5, 2)), big.zero())
     zc = t_expand(R2.zero(), 2)
     assert all(c.is_zero() for c in zc)
@@ -135,7 +130,7 @@ def test_t_expand_matches_direct_substitution():
     ring = Ring(names)
     for _ in range(100):
         m = rng.randint(0, 4)
-        jr = get_jet_ring(ring, m)
+        jr = JetRing(ring, m)
         nterms = rng.randint(1, 4)
         terms = {}
         for _ in range(nterms):
@@ -165,7 +160,7 @@ def test_t_expand_matches_direct_substitution_wide():
 
     for _ in range(40):
         m = rng.randint(0, 8)
-        jr = get_jet_ring(ring, m)
+        jr = JetRing(ring, m)
         f, h = rand_poly(), rand_poly()
         g = h - f  # f + g = h: every term of f cancels
         for p in (f, g, h):
@@ -180,7 +175,7 @@ def test_t_expand_multiplicative():
     rng = random.Random(424401)
     for _ in range(100):
         m = rng.randint(0, 4)
-        jr = get_jet_ring(R2, m)
+        jr = JetRing(R2, m)
 
         def rand_poly():
             p = R2.zero()
@@ -210,7 +205,7 @@ def test_t_expand_truncation_prefix_compatible():
         lo = rng.randint(0, hi)
         deep = t_expand(p, hi)
         shallow = t_expand(p, lo)
-        jr_hi = get_jet_ring(R2, hi)
+        jr_hi = JetRing(R2, hi)
         for k in range(lo + 1):
             assert pad_to_jet_ring(shallow[k], jr_hi) == deep[k]
 
@@ -218,12 +213,12 @@ def test_t_expand_truncation_prefix_compatible():
 def test_pad_to_jet_ring_rejects_foreign_ring():
     other = Ring(("a", "b"))
     with pytest.raises(PreconditionError):
-        pad_to_jet_ring(other.var(0), get_jet_ring(R2, 1))
+        pad_to_jet_ring(other.var(0), JetRing(R2, 1))
 
 
 def test_jet_ideal_cusp():
     J = jet_ideal(ideal(R2, "x^2 - y^3"), 2)
-    assert J.jet_ring is get_jet_ring(R2, 2)
+    assert J.jet_ring.ring == JetRing(R2, 2).ring
     assert len(J.ideal.gens) == 3
     big = J.jet_ring.ring
     assert J.ideal.gens[0] == mk(big, "x__0^2 - y__0^3")
@@ -641,7 +636,7 @@ def _reference_cell_dim(clauses, level, image_level, point=None):
     levels above the image level, the image levels), then
     Ideal.eliminate and krull_dimension."""
     base = clauses[0].ideal.ring
-    jr = get_jet_ring(base, level)
+    jr = JetRing(base, level)
     names = jr.ring.names
     T = Ring(names + ("t",))
     t = T.var(len(names))
