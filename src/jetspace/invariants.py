@@ -31,7 +31,6 @@ from .jets import (
     check_point_on,
     contact_cell_dim,
     contact_cell_walk,
-    jacobian_ideal,
     jacobian_of,
 )
 from .orders import GREVLEX, Weight
@@ -57,7 +56,7 @@ def tangent_cone(I, point=None, budget=None):
     """
     here = I.translate(point) if point is not None else I
     base = here.ring
-    gens = [g for g in here.gens if not g.is_zero()]
+    gens = here.gens
     if not gens:
         return TangentCone(point, Ideal(base, ()), False, None)
     if len(gens) == 1:
@@ -139,6 +138,8 @@ def check_mld_hat_equals_n(I, point, e_max=3, budget=None):
     n = I.krull_dimension(budget).dimension
     if n < 1:
         raise PreconditionError(f"variety dimension is {n}; need a positive-dimensional variety")
+    if e_max < 0:
+        raise PreconditionError("e_max must be non-negative")
 
     notes = []
     cone = tangent_cone(I, point, budget)
@@ -156,8 +157,6 @@ def check_mld_hat_equals_n(I, point, e_max=3, budget=None):
             "would need factorization, deferring to the jet route"
         )
 
-    if e_max < 0:
-        raise PreconditionError("e_max must be non-negative")
     lambda_report = _lambda_rows(I, point, n, cone, 1, e_max, budget)
     row = lambda_report.rows[0]
     lambda_verdict = None
@@ -246,22 +245,26 @@ def lct_hat_bound(a, M, on=None, e_max=3, budget=None):
     That locus is the jet scheme J_{m-1}(V(a)) (Mustata, "Singularities
     of pairs via jet schemes", JAMS 15, 2002).
 
-    When a = (f) is one generator, the row's dimension is max(m(N - 1),
-    dim S_m), where S_m is the cell [f >= m, jacobian(f) >= 1] of the
-    jets over V(f, df), and the whole jet scheme is never computed:
-      * U = V(f) minus V(df) is the smooth locus of the hypersurface
-        V(f) (Jacobian criterion, characteristic 0).  Over U the
-        (m-1)-jets form a Zariski-locally trivial A^((m-1)(N-1))-bundle
-        (Mustata, "Jet schemes of locally complete intersection
-        canonical singularities", Invent. Math. 145, 2001), so they are
-        empty or of dimension m(N - 1).
-      * J_{m-1}(V(f)) is cut by m equations in A^(Nm) and holds the
-        constant arcs at points of V(f), so by Krull every component
-        has dimension at least m(N - 1): the max is right also when U
-        is empty, as for x^2 or (x^2 - y^3)^2.
-      * ord(df) >= 1 reads level 0 only, so S_m is exactly the rest of
+    Each row measures only the jets over V(a, jac), where jac is the
+    Jacobian ideal of V = V(a) (jets.jacobian_of).  With n = dim V, N
+    variables and c = N - n, row m has dimension max(m*n, dim S_m), where
+    S_m is the cell [a >= m, jac >= 1] at level m - 1, and the whole jet
+    scheme is never computed:
+      * At least m*n: an n-dimensional component Z of V, with its reduced
+        structure, is a closed subscheme of V(a) and generically smooth,
+        so J_{m-1}(V(a)) contains J_{m-1}(Z), of dimension m*n.
+      * At most m*n over U = V minus V(jac): at a point p of U some
+        c x c minor is nonzero, so c of the generators cut out a smooth
+        n-dimensional germ W containing V(a) near p.  The (m-1)-jets of
+        V(a) over U lie in W's A^((m-1)n)-bundle (Mustata, "Jet schemes
+        of locally complete intersection canonical singularities",
+        Invent. Math. 145, 2001).
+      * ord(jac) >= 1 reads level 0 only, so S_m is exactly the rest of
         the jet scheme.
-    Ideals with more generators take the cell [a >= m] itself.
+      * jac is never the zero ideal: every nonempty fiber of the
+        generators' map A^N -> A^k has dimension at least N minus its
+        generic rank, so that rank is at least c.
+    For a hypersurface, n = N - 1 and jac is the ideal of its partials.
 
     Singular ambient (on=X): the same contact condition is intersected
     with the liftable locus of X, split into Jacobian-contact cells, and
@@ -281,32 +284,25 @@ def lct_hat_bound(a, M, on=None, e_max=3, budget=None):
         raise PreconditionError("threshold of the zero ideal is undefined")
     if a.is_trivial(budget):
         raise PreconditionError("threshold needs a proper ideal")
+    V = a if on is None else on
+    if V.ring != a.ring:
+        raise RingMismatchError("ideal and ambient variety live in different rings")
+    n = V.krull_dimension(budget).dimension
+    if on is not None and n < 1:
+        raise PreconditionError(f"ambient variety dimension is {n}")
+    jac = jacobian_of(V, budget)
     rows = []
     if on is None:
         N = a.ring.ngens
-        # a hypersurface's row measures only the jets over its singular
-        # locus, since the others have dimension m(N - 1) and no component
-        # falls below that; any other ideal's cell is never empty, as a
-        # constant arc at a point of V(a) has every order
-        singular = [ContactClause(jacobian_ideal(a, 1), ">=", 1)] if len(a.gens) == 1 else []
-        floor = N - 1 if singular else 0
+        smooth = ContactClause(jac, ">=", 1)
         for m in range(1, M + 1):
-            cell = [ContactClause(a, ">=", m)] + singular
-            dim = max(m * floor, contact_cell_dim(cell, m - 1, m - 1, budget=budget))
-            codim = N * m - dim
+            cell = (ContactClause(a, ">=", m), smooth)
+            codim = N * m - max(m * n, contact_cell_dim(cell, m - 1, m - 1, budget=budget))
             rows.append(ThresholdRow(m, codim, Fraction(codim, m), ()))
     else:
-        X = on
-        if X.ring != a.ring:
-            raise RingMismatchError("ideal and ambient variety live in different rings")
-        n = X.krull_dimension(budget).dimension
-        if n < 1:
-            raise PreconditionError(f"ambient variety dimension is {n}")
-        jac = jacobian_of(X, budget)
-
         def cell(m, e):
             s = max(m - 1, e)
-            clauses = (ContactClause(X, ">=", s + e + 1), ContactClause(jac, "==", e),
+            clauses = (ContactClause(V, ">=", s + e + 1), ContactClause(jac, "==", e),
                        ContactClause(a, ">=", m))
             return contact_cell_dim(clauses, s + e, s, budget=budget)
 
@@ -320,7 +316,7 @@ def lct_hat_bound(a, M, on=None, e_max=3, budget=None):
             if not cells:
                 # every cell e > e_max truncates into the closed tail at level L
                 L = max(m - 1, e_max)
-                tail = (ContactClause(X, ">=", L + 1), ContactClause(jac, ">=", e_max + 1),
+                tail = (ContactClause(V, ">=", L + 1), ContactClause(jac, ">=", e_max + 1),
                         ContactClause(a, ">=", m))
                 if contact_cell_dim(tail, L, L, budget=budget) >= 0:
                     note = f"liftable contact lies beyond e_max={e_max}"
@@ -392,10 +388,9 @@ def ord_blowup_origin(I):
     """Data of the exceptional divisor of the origin blowup: the order
     of vanishing of I along it, the divisor's canonical multiplicity,
     and the resulting log discrepancy k + 1 - ord."""
-    gens = [g for g in I.gens if not g.is_zero()]
-    if not gens:
+    if not I.gens:
         raise PreconditionError("vanishing order of the zero ideal is undefined")
-    order = min(g.min_degree() for g in gens)
+    order = min(g.min_degree() for g in I.gens)
     k = I.ring.ngens - 1
     return BlowupResult(order, k, k + 1 - order)
 

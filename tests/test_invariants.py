@@ -447,22 +447,33 @@ def test_smooth_table_rows_match_direct_jet_computations():
             assert jet_ideal(I, m).ideal.gens == closed.ideal.gens == expanded
 
 
-@pytest.mark.parametrize("ring, text, M", [
-    (R2, "x - y^2", 4),  # smooth: no jet over the singular locus
-    (R2, "x^2 - y^2 + 1", 4),  # not through the origin
-    (R2, "x^3 - y^4", 4),
-    (R2, "x*(x^2 - y^3)", 4),
-    (R2, "x^2*y", 4),  # non-reduced, with smooth points
-    (R2, "(x^2 - y^3)^2", 4),  # no smooth point
-    (R2, "x^2", 4),
-    (R3, "x^2 + y^3 + z^3", 3),
-    (R3, "x^2 - y^2*z", 3),  # singular along a line
-    (R3, "x*y*z", 3),
-])
-def test_smooth_lct_hypersurface_rows_match_the_jet_scheme_cell(ring, text, M):
-    """A hypersurface's row takes max(m(N-1), dim S_m) in place of the
-    whole (m-1)-jet scheme [f >= m]; every row must equal that cell."""
-    a = ideal(ring, text)
+@pytest.mark.parametrize("ring, texts, M", [
+    (R2, ("x - y^2",), 4),  # smooth: no jet over the singular locus
+    (R2, ("x^2 - y^2 + 1",), 4),  # not through the origin
+    (R2, ("x^3 - y^4",), 4),
+    (R2, ("x*(x^2 - y^3)",), 4),
+    (R2, ("x^2*y",), 4),  # non-reduced, with smooth points
+    (R2, ("(x^2 - y^3)^2",), 4),  # no smooth point
+    (R2, ("x^2",), 4),
+    (R3, ("x^2 + y^3 + z^3",), 3),
+    (R3, ("x^2 - y^2*z",), 3),  # singular along a line
+    (R3, ("x*y*z",), 3),
+    (R2, ("x", "y"), 3),  # a point: jac is (1)
+    (R2, ("x^2", "y^3"), 4),  # a fat point: jac vanishes on it
+    (R2, ("x^2", "x*y"), 4),  # a line with an embedded point
+    (R2, ("x^2", "x*y^2"), 4),
+    (R2, ("x*y", "x^2 + y"), 4),
+    (R2, ("x^2 - y^3", "x*y"), 4),
+    (R3, ("x*z - y^2", "y - x^2", "z - x*y"), 3),  # twisted cubic: c = 2, three generators
+    (R3, ("y*z", "x*z", "x*y"), 3),  # the three axes
+    (R3, ("x*y", "z"), 3),
+    (R3, ("x^2 - y^3", "z"), 3),
+    (R3, ("x*z", "y*z"), 3),  # a line meeting a plane: not pure
+], ids=lambda v: ", ".join(v) if isinstance(v, tuple) else None)
+def test_smooth_lct_rows_match_the_jet_scheme_cell(ring, texts, M):
+    """Each row takes max(m*n, dim S_m) in place of the whole (m-1)-jet
+    scheme [a >= m]; every row must equal that cell."""
+    a = ideal(ring, *texts)
     N = ring.ngens
     direct = [N * m - contact_cell_dim([ContactClause(a, ">=", m)], m - 1, m - 1)
               for m in range(1, M + 1)]
@@ -478,6 +489,41 @@ def test_smooth_lct_hypersurface_rows_fit_a_small_budget():
     table = lct_hat_bound(ideal(R2, "x^3 - y^4"), 5, budget=Budget(max_pairs=100))
     assert [r.codim for r in table.rows] == [1, 2, 2, 3, 4]
     assert (table.bound, table.argmin) == (Fraction(2, 3), 3)
+
+
+def test_smooth_lct_rows_of_any_ideal_fit_a_small_budget():
+    """Whole jet-scheme cells of these ideals exhaust 200 pairs; the cells
+    over V(a, jac) fit.  The second ideal is F1's."""
+    budget = Budget(max_pairs=200)
+    for texts, codims in (
+        (("1/2*x^3*y*z^2 + 2*y^2*z + 2*z - 2", "-x*z^3 - 3*z"), [2, 4, 6]),
+        (("2*z^2 + 2*x*y*z^2", "3*y^3 + 2*y*z + 1/2*x^3*y^2*z^3"), [2, 2, 3]),
+    ):
+        table = lct_hat_bound(ideal(R3, *texts), 3, budget=budget)
+        assert [r.codim for r in table.rows] == codims
+
+
+def test_smooth_lct_tables_never_fall_below_howald():
+    """The window minimum bounds the lct from above, so it is never below
+    the closed form: min(1, 1/a + 1/b) for the non-degenerate x^a - y^b,
+    and 1/a + 1/b for the monomial ideal (x^a, y^b) (Howald 2003, 2001).
+    `exact` is left out: it is claimed on tables whose bound lies above
+    the closed form, such as (x^3, y^4) at 2/3 against 7/12."""
+    for p, q in product(range(2, 6), repeat=2):
+        lct = Fraction(1, p) + Fraction(1, q)
+        binomial = lct_hat_bound(ideal(R2, f"x^{p} - y^{q}"), 6)
+        assert binomial.bound >= min(1, lct)
+        monomial = lct_hat_bound(ideal(R2, f"x^{p}", f"y^{q}"), 6)
+        assert monomial.bound >= lct
+
+
+def test_check_rejects_a_negative_e_max_before_the_tangent_cone(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("tangent cone built before e_max was checked")
+
+    monkeypatch.setattr(invariants, "tangent_cone", unreachable)
+    with pytest.raises(PreconditionError, match="e_max must be non-negative"):
+        check_mld_hat_equals_n(ideal(R2, "x^2 - y^3"), ORIGIN2, e_max=-1)
 
 
 def test_check_builds_the_tangent_cone_once(monkeypatch):
