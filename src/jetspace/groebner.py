@@ -17,6 +17,16 @@ computation was scheduled.  elimination_dimension stops at the minimal
 basis: a dimension reads leading monomials only, which the minimal and
 the reduced basis share, so it needs no interreduction.
 
+elimination_dimension also computes on the zero set, not the ideal.  A
+dimension of an elimination image is the dimension of the closure of
+the projection of V(polys), which depends on V(polys) only.  A pure
+power c*x^a puts V on x = 0, where every other polynomial equals itself
+minus its terms in x; so replacing c*x^a by x and dropping the x-terms
+elsewhere, round after round, keeps V.  The lowest arc coefficients of
+a jet scheme are such powers, and their nilpotent structure is most of
+the work of a basis run that no dimension reads.  reduced_groebner and
+normal_form keep the ideal as given.
+
 The inner loop runs on integers only, after Bachmann and Schoenemann,
 "Monomial representations for Groebner bases computations" (ISSAC 1998):
 
@@ -541,10 +551,49 @@ def elimination_packing(nvars, k, degree, budget=None):
     return _monomials(Block(k, GREVLEX), nvars, max(degree, cap))
 
 
+def _zero_set_system(polys, mono):
+    """Packed dicts with the zero set of `polys` and no pure power.
+
+    A one-term c*x^a, a >= 1 in the single variable x, kills x: every
+    term containing a killed variable is dropped from every polynomial,
+    polynomials left empty go, and rounds repeat until none kills more.
+    Each killed x then enters as the generator x, so its lead still pins
+    it.  The zero set is unchanged: c*x^a puts it on x = 0, where every
+    other polynomial equals itself minus its x-terms.  A one-term
+    constant stays; a basis run ends at it.  New dicts are built, since
+    callers share theirs between systems.
+    """
+    killed = 0  # the fields of the killed variables
+    units = []
+    polys = [p for p in polys if p]
+    while True:
+        mask = killed
+        for p in polys:
+            v = len(p) == 1 and next(iter(p)) & mono.var_values
+            if not v:
+                continue
+            o = ((v & -v).bit_length() - 1) // mono.width * mono.width
+            field = mono.field << o
+            if not v & ~field and not mask & field:
+                mask |= field
+                units.append({1 << o | 1 << mono.degree_offset: 1})
+        if mask == killed:
+            return polys + units
+        killed = mask
+        polys = [q for q in ({m: c for m, c in p.items() if not m & killed} for p in polys) if q]
+
+
 def elimination_dimension(polys, mono, k, budget=None, grading=None):
     """Dimension of the closure of V(polys) projected away from the first
     k variables, -1 when V(polys) is empty; `polys` are dicts {packed
     monomial: int} in `mono`, from elimination_packing, on one scale.
+
+    That closure, and so its dimension, depends on the zero set V(polys)
+    only, so _zero_set_system first replaces each pure power c*x^a by x
+    and drops the terms in x from the other polynomials.  A saturator
+    1 - w*g goes through the same pass; when g vanishes once the killed
+    variables are 0, it leaves a constant and the run is proved empty at
+    its first input.
 
     Dimension reads only the leads of the Block(k) basis elements free of
     the first k variables, and the minimal basis has the reduced basis's
@@ -555,10 +604,10 @@ def elimination_dimension(polys, mono, k, budget=None, grading=None):
     """
     budget = budget or DEFAULT_BUDGET
     inputs = []
-    for p in polys:
-        if p:  # the largest packed monomial has the largest degree field
-            _check_input_degree(max(p) >> mono.degree_offset, budget.max_degree)
-            inputs.append(sorted((mono.key(m), m, c) for m, c in p.items()))
+    for p in _zero_set_system(polys, mono):
+        # the largest packed monomial has the largest degree field
+        _check_input_degree(max(p) >> mono.degree_offset, budget.max_degree)
+        inputs.append(sorted((mono.key(m), m, c) for m, c in p.items()))
     inputs.sort(key=_processing_order)
     leads = [mono.unpack(lm) for lm, _, _ in _minimal_basis(inputs, mono, budget, grading)]
     if not all(map(any, leads)):

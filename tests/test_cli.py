@@ -72,7 +72,7 @@ def test_frozen_tangent_cone_report(capsys):
     )
 
 
-TIGHT = "ring x, y\nideal X = x^2 - y^3\npoint 0, 0\ncommand lambda m_max=1\n"
+TIGHT = "ring x, y\nideal X = x^2 - y^3\npoint 0, 0\ncommand lambda m_max=2\n"
 
 
 @pytest.mark.parametrize(
@@ -271,7 +271,7 @@ def test_point_off_variety_is_exit_3(tmp_path, capsys):
 
 def test_budget_flag_partial_lambda_report(tmp_path, capsys):
     src = tmp_path / "tight.jsp"
-    src.write_text("ring x, y\nideal X = x^2 - y^3\npoint 0, 0\ncommand lambda m_max=1\n")
+    src.write_text("ring x, y\nideal X = x^2 - y^3\npoint 0, 0\ncommand lambda m_max=2\n")
     code, out = run_cli(capsys, "run", str(src), "--max-pairs", "1")
     assert code == 4
     assert "status: budget-exhausted" in out
@@ -283,7 +283,7 @@ def test_budget_line_in_file(tmp_path, capsys):
     src = tmp_path / "tight2.jsp"
     src.write_text(
         "ring x, y\nideal X = x^2 - y^3\npoint 0, 0\n"
-        "budget max_pairs=1 max_degree=4\ncommand lambda m_max=1\n"
+        "budget max_pairs=1 max_degree=4\ncommand lambda m_max=2\n"
     )
     code, out = run_cli(capsys, "run", str(src))
     assert code == 4

@@ -14,6 +14,8 @@ from jetspace.errors import BudgetExhausted, PreconditionError
 from jetspace.groebner import (
     Budget,
     Ideal,
+    elimination_dimension,
+    elimination_packing,
     gcd_poly,
     lcm_poly,
     normal_form,
@@ -587,26 +589,55 @@ def test_saturated_cusp_cell_pair_counts():
 
 
 def test_saturated_cusp_cell_pair_counts_on_the_cell_route():
-    """contact_cell_dim runs the first saturated basis of the same cell in
-    its own ring, with pairs selected by sugar in the arc grading (x_i__j
-    of weight j): 13 pairs, against the 1573 of the ungraded selection
-    that SATURATED_CUSP_PAIRS pins; the run ends at the pair that reduces
-    to a constant.  The second piece adds the first excluded coefficient
-    as a closed generator and stays within 13."""
+    """contact_cell_dim runs the saturated bases of the same cell in its
+    own ring, against the 1573 and 442 pairs of the ungraded selection
+    that SATURATED_CUSP_PAIRS pins.  The cell's equations hold the pure
+    powers x__1^2 and 2*x__1; with x__1 = 0, -y__1^3 and then x__2^2 are
+    pure powers too, and elimination_dimension sets all three variables
+    to 0 first.  Both excluded coefficients, 2*x__2 and -3*y__1^2, vanish
+    there, so each saturator 1 - w*g leaves the constant 1: each piece is
+    proved empty at its first input and selects no pair."""
     X = ideal(R2, "x^2 - y^3")
     clauses = [ContactClause(X, ">=", 8), ContactClause(jacobian_ideal(X, 1), "==", 2)]
-    pairs = 13
-    with pytest.raises(BudgetExhausted) as info:
-        contact_cell_dim(clauses, 7, 5, point=(0, 0), budget=Budget(max_pairs=pairs - 1))
-    assert str(info.value) == f"pair budget {pairs - 1} exhausted"
-    assert info.value.pairs_done == pairs
-    assert contact_cell_dim(clauses, 7, 5, point=(0, 0), budget=Budget(max_pairs=pairs)) == -1
+    assert contact_cell_dim(clauses, 7, 5, point=(0, 0), budget=Budget(max_pairs=0)) == -1
+
+
+R4W = Ring(("w", "x", "y", "z"))
+
+
+@pytest.mark.parametrize(
+    "texts, k",
+    [
+        # y^2 is a pure power only once x^2 has set x to 0
+        (("x^2", "y^2 + x*z"), 0),
+        # x and y are image-level coordinates fixed at 0, not free ones
+        (("x^2", "y^2 + x*z"), 1),
+        (("x^2", "y^2 + x*z", "1 - w*z"), 1),
+        # a saturator that vanishes on x = y = 0 leaves a constant
+        (("x^2", "y^2 + x*z", "1 - w*y"), 1),
+        (("w^3", "x*w + y", "y*z - x^2"), 1),
+        (("x*y", "z^2 - x"), 0),
+        (("3", "x^2"), 0),
+    ],
+)
+def test_elimination_dimension_sets_pure_powers_to_zero(texts, k):
+    """elimination_dimension replaces each pure power c*x^a by x, round
+    after round; the dimension stays the one of the reference route, and
+    the caller's dicts are left as they were."""
+    polys = mk(R4W, *texts)
+    mono = elimination_packing(4, k, max(p.degree() for p in polys))
+    packed = [{mono.pack(e): int(c) for e, c in p.terms.items()} for p in polys]
+    before = [dict(p) for p in packed]
+    expected = Ideal(R4W, polys).eliminate(k).krull_dimension().dimension
+    assert elimination_dimension(packed, mono, k) == expected
+    assert packed == before
 
 
 def test_deep_cusp_cell_fits_a_small_pair_budget():
-    """Cusp cell (m=7, e=3) at level 10 selects 169 and 4 pairs in its two
-    pieces under sugar selection; the ungraded selection of both full
-    saturations took 2823 and 1159, past this budget."""
+    """Cusp cell (m=7, e=3) at level 10 selects 160 and 0 pairs in its two
+    pieces under sugar selection, with the pure powers set to 0 first;
+    the ungraded selection of both full saturations took 2823 and 1159,
+    past this budget."""
     X = ideal(R2, "x^2 - y^3")
     clauses = [ContactClause(X, ">=", 11), ContactClause(jacobian_ideal(X, 1), "==", 3)]
     assert contact_cell_dim(clauses, 10, 7, point=(0, 0), budget=Budget(max_pairs=1000)) == 6
@@ -630,8 +661,9 @@ def test_lct_row_cell_fits_its_pair_budget(f, order, level, dim, pairs):
 
 def test_surface_probe_cell_fits_its_pair_budget():
     """The check-main probe cell (m=1, e=4) of the D4 surface at level 8
-    selects 146, 88 and 10 pairs in its three pieces with the eliminated
-    levels ascending; from the top down its first piece takes 251."""
+    selects 78, 67 and 0 pairs in its three pieces with the eliminated
+    levels ascending and the pure powers set to 0 first; from the top
+    down its first piece took 251 before that pass."""
     X = ideal(R3, "x^2 + y^3 + z^3")
     clauses = [ContactClause(X, ">=", 9), ContactClause(jacobian_ideal(X, 1), "==", 4)]
     assert contact_cell_dim(clauses, 8, 1, point=(0, 0, 0), budget=Budget(max_pairs=200)) == 0

@@ -517,6 +517,30 @@ def test_smooth_lct_tables_never_fall_below_howald():
         assert monomial.bound >= lct
 
 
+def _newton_codim(a, b, m):
+    """Codimension of {ord(x^a - y^b) >= m} in the arc space of the
+    plane: the least p + q over arcs with ord x = p and ord y = q, where
+    the contact is min(a*p, b*q) unless a*p = b*q, where the two leading
+    terms can cancel and each further order costs one condition."""
+    codims = []
+    for p, q in product(range(m + 1), repeat=2):
+        if min(a * p, b * q) >= m:
+            codims.append(p + q)
+        elif a * p == b * q:
+            codims.append(p + q + m - a * p)
+    return min(codims)
+
+
+@pytest.mark.parametrize("a, b", [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (4, 5), (3, 7)])
+def test_deep_smooth_lct_rows_follow_the_newton_polygon(a, b):
+    """Every row of x^a - y^b up to M = a*b has the codimension that its
+    Newton polygon gives, and the window minimum is the lct 1/a + 1/b,
+    reached at m = a*b.  `exact` is left out, as in the Howald test."""
+    table = lct_hat_bound(ideal(R2, f"x^{a} - y^{b}"), a * b)
+    assert [r.codim for r in table.rows] == [_newton_codim(a, b, m) for m in range(1, a * b + 1)]
+    assert table.bound == Fraction(1, a) + Fraction(1, b)
+
+
 def test_check_rejects_a_negative_e_max_before_the_tangent_cone(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("tangent cone built before e_max was checked")

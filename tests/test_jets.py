@@ -439,10 +439,10 @@ def test_lambda_point_off_variety():
 
 def test_lambda_budget_exhaustion_is_reported():
     tiny = Budget(max_pairs=1, max_degree=4)
-    report = lambda_sequence(ideal(R2, "x^2 - y^3"), (0, 0), 1, e_max=3, budget=tiny)
+    report = lambda_sequence(ideal(R2, "x^2 - y^3"), (0, 0), 2, e_max=3, budget=tiny)
     assert report.budget_hit
-    assert not report.rows[0].converged
-    assert report.rows[0].note.startswith("budget exhausted")
+    assert not report.rows[-1].converged
+    assert report.rows[-1].note.startswith("budget exhausted")
 
 
 def test_lambda_early_stop_keeps_cells_short():
@@ -735,6 +735,14 @@ def _reference_cells():
     e6 = ideal(R2, "x^3 - y^4")
     for m in range(1, 5):
         cells.append((f"lct row m={m}", [ContactClause(e6, ">=", m)], m - 1, m - 1, None))
+    # the smooth-row cells over the singular locus: pure powers such as
+    # x__0^2 and y__0^3 cascade through the image-level variables
+    for text in ("x^3 - y^4", "x^3 - y^5"):
+        X = ideal(R2, text)
+        jac = jacobian_ideal(X, 1)
+        for m in range(1, 6):
+            clauses = [ContactClause(X, ">=", m), ContactClause(jac, ">=", 1)]
+            cells.append((f"{text} >= {m}, jac >= 1", clauses, m - 1, m - 1, None))
     return cells
 
 
