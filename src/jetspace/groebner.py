@@ -583,7 +583,7 @@ def _zero_set_system(polys, mono):
         polys = [q for q in ({m: c for m, c in p.items() if not m & killed} for p in polys) if q]
 
 
-def elimination_dimension(polys, mono, k, budget=None, grading=None):
+def elimination_dimension(polys, mono, k, budget=None, grading=None, keys=None):
     """Dimension of the closure of V(polys) projected away from the first
     k variables, -1 when V(polys) is empty; `polys` are dicts {packed
     monomial: int} in `mono`, from elimination_packing, on one scale.
@@ -597,23 +597,54 @@ def elimination_dimension(polys, mono, k, budget=None, grading=None):
 
     Dimension reads only the leads of the Block(k) basis elements free of
     the first k variables, and the minimal basis has the reduced basis's
-    leads: no interreduction, no conversion to Polynomials.  With
-    `grading`, a weight per variable of `mono`, pairs are selected by
-    sugar in it; a contact cell passes its arc grading, in which every
-    closed generator is weighted-homogeneous.
+    leads: no interreduction, no conversion to Polynomials.  A lead's
+    support is read as a mask of the guard bits of its nonzero fields.
+    A single-variable support puts its variable in every hitting set, so
+    those variables are counted and the supports they meet dropped; only
+    what is left goes to _min_hitting_set.  With `grading`, a weight per
+    variable of `mono`, pairs are selected by sugar in it; a contact cell
+    passes its arc grading, in which every closed generator is
+    weighted-homogeneous.  `keys`, a dict {packed monomial: order key}
+    for `mono`, memoizes the keys across calls that share it.
     """
     budget = budget or DEFAULT_BUDGET
+    keys = {} if keys is None else keys
     inputs = []
     for p in _zero_set_system(polys, mono):
         # the largest packed monomial has the largest degree field
         _check_input_degree(max(p) >> mono.degree_offset, budget.max_degree)
-        inputs.append(sorted((mono.key(m), m, c) for m, c in p.items()))
+        ip = []
+        for m, c in p.items():
+            key = keys.get(m)
+            if key is None:
+                key = keys[m] = mono.key(m)
+            ip.append((key, m, c))
+        ip.sort()
+        inputs.append(ip)
     inputs.sort(key=_processing_order)
-    leads = [mono.unpack(lm) for lm, _, _ in _minimal_basis(inputs, mono, budget, grading)]
-    if not all(map(any, leads)):
-        return -1  # a constant lead
-    kept = [{i for i, e in enumerate(lm) if e} for lm in leads if not any(lm[:k])]
-    return len(mono.offsets) - k - len(_min_hitting_set(kept, len(mono.offsets)))
+    top = 1 << (mono.width - 1)  # a field's guard bit
+    guards = mono.units * top
+    eliminated = (1 << k * mono.width) - 1  # the fields of the first k variables
+    forced = 0  # the guard bits of the single-variable supports
+    mixed = []
+    for lm, _, _ in _minimal_basis(inputs, mono, budget, grading):
+        v = lm & mono.var_values
+        if not v:
+            return -1  # a constant lead
+        if v & eliminated:
+            continue
+        # a field topped by its guard bit keeps that bit, less 1, just when nonzero
+        support = ((v | guards) - mono.units) & guards
+        if support & (support - 1):
+            mixed.append(support)
+        else:
+            forced |= support
+    nvars = len(mono.offsets)
+    supports = [
+        {i for i, o in enumerate(mono.offsets) if s >> o & top} for s in mixed if not s & forced
+    ]
+    hitting = len(_min_hitting_set(supports, nvars)) if supports else 0
+    return nvars - k - forced.bit_count() - hitting
 
 
 class Ideal:

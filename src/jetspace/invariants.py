@@ -133,6 +133,8 @@ def check_mld_hat_equals_n(I, point, e_max=3, budget=None):
     so the verdict is the jet route's, None when its row did not
     converge, and a note records any divergence.
     """
+    if I.is_zero_ideal():
+        raise PreconditionError("the mld-hat check needs a nonzero ideal, not the zero ideal")
     point = tuple(point)
     check_point_on(I, point)
     n = I.krull_dimension(budget).dimension

@@ -6,11 +6,14 @@ every level 0 <= j <= m, in level-major order, so the level-p subring is
 a prefix of the level-m ring.
 
 Contact clauses expand as integer arc series of packed monomials into a
-layout their caller picks (_realize).  A cell never builds the jet ring:
-it expands straight into _cell_layout, the packing that
-groebner.elimination_dimension reads.  The Polynomial views t_expand,
-contact_ideal and jet_ideal expand into _view_layout, the jet ring's own
-order, and unpack.
+layout their caller picks (_realize).  A series holds its nonzero terms
+only, each tagged with its t-order (_arc_series), so expanding costs in
+proportion to the terms kept.  A cell never builds the Ring of jet
+variable names, which JetRing makes on first read: it expands straight
+into _cell_layout, the packing that groebner.elimination_dimension
+reads, and its pieces share one memo of order keys.  The Polynomial
+views t_expand, contact_ideal and jet_ideal expand into _view_layout,
+the jet ring's own order, and unpack.
 
 Budget discipline: all Groebner work is routed through the budget handed
 in by the caller; this module adds no caps of its own.
@@ -18,6 +21,7 @@ in by the caller; this module adds no caps of its own.
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 
@@ -27,14 +31,21 @@ from .poly import Polynomial, Ring
 
 
 class JetRing:
-    """Coordinates of the space of m-jets of the affine space of `base`."""
+    """Coordinates of the space of m-jets of the affine space of `base`.
+
+    The Ring of jet-variable names is built on first read: a cell's
+    layout reads only the base ring and the level.
+    """
 
     def __init__(self, base, level):
         if level < 0:
             raise PreconditionError("jet level must be non-negative")
         self.base = base
         self.level = level
-        self.ring = Ring(f"{name}__{j}" for j in range(level + 1) for name in base.names)
+
+    @cached_property
+    def ring(self):
+        return Ring(f"{name}__{j}" for j in range(self.level + 1) for name in self.base.names)
 
     def index(self, i, j):
         """Flat index of base variable i at level j."""
@@ -53,25 +64,18 @@ class JetRing:
         return f"JetRing({self.base!r}, level={self.level})"
 
 
-def _series_mul(a, b, m):
-    """Truncated product of two arc series of packed monomials.
-
-    A series is m + 1 dicts {packed monomial: int}, one per power of t;
-    multiplying monomials is adding their packed ints.
-    """
-    out = [{} for _ in range(m + 1)]
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j in range(m + 1 - i):
-            bj = b[j]
-            if not bj:
-                continue
-            acc = out[i + j]
-            for ma, ca in ai.items():
-                for mb, cb in bj.items():
-                    mm = ma + mb
-                    acc[mm] = acc.get(mm, 0) + ca * cb
+def _series_mul(a, b, limit):
+    """Truncated product of two arc series, as a dict: the sums of their
+    tagged monomials below `limit`, the first tag past the truncation
+    order.  `a` is (tagged monomial, int) pairs, `b` such pairs in
+    ascending order, so a row stops at its first sum past the limit."""
+    out = {}
+    for ma, ca in a:
+        for mb, cb in b:
+            mm = ma + mb
+            if mm >= limit:
+                break
+            out[mm] = out.get(mm, 0) + ca * cb
     return out
 
 
@@ -79,39 +83,57 @@ def _arc_series(polys, m, places, scale):
     """Coefficients of t^0..t^m of scale * p, for each p in `polys`, on
     the arc x_i = sum_j x_i__j t^j with x_i__j the packed monomial
     places[i][j] (0 where None): m + 1 dicts {packed monomial: int} per
-    p.  `scale` must clear every denominator."""
-    one = [{0: 1}] + [{} for _ in range(m)]
-    var_series = [[{u: 1} if u else {} for u in row] for row in places]
-    powers = {}  # shared by every p
+    p.  `scale` must clear every denominator.
 
-    def power(i, k):
-        if k == 0:
-            return one
-        got = powers.get((i, k))
-        if got is None:
-            got = powers[(i, k)] = _series_mul(power(i, k - 1), var_series[i], m)
-        return got
-
+    A series holds its nonzero terms only, each a monomial tagged with
+    its t-order in the bits above `shift`, past every product of the
+    units a term can make: multiplying terms adds their tagged ints,
+    ascending tags ascend in order, and a product stays within t^m
+    exactly when it is below the tag m + 1.  A term's series starts from
+    the power of its first variable.
+    """
+    units = [u for row in places for u in row if u]
+    degree = max((sum(e) for p in polys for e in p.terms), default=0)
+    # a product of at most `degree` units is below degree * max(units)
+    shift = max(units, default=0).bit_length() + degree.bit_length()
+    limit = (m + 1) << shift
+    # powers[i][k]: x_i^k as ascending (tagged monomial, int) pairs
+    powers = [
+        [None, [(u + (j << shift), 1) for j, u in enumerate(row[: m + 1]) if u]] for row in places
+    ]
+    mask = (1 << shift) - 1
     out = []
     for p in polys:
-        total = [{} for _ in range(m + 1)]
+        total = {}
         for exps, coeff in p.terms.items():
-            c = coeff.numerator * (scale // coeff.denominator)
-            series = one
+            series = None
             for i, e in enumerate(exps):
                 if e:
-                    series = _series_mul(series, power(i, e), m)
-            for acc, part in zip(total, series):
-                for mono, cc in part.items():
-                    acc[mono] = acc.get(mono, 0) + c * cc
-        out.append([{mono: c for mono, c in acc.items() if c} for acc in total])
+                    row = powers[i]
+                    while len(row) <= e:
+                        row.append(sorted(_series_mul(row[-1], row[1], limit).items()))
+                    if series is None:
+                        series = row[e]
+                    else:
+                        series = _series_mul(series, row[e], limit).items()
+                    if not series:
+                        break
+            c = coeff.numerator * (scale // coeff.denominator)
+            for mono, cc in ((0, 1),) if series is None else series:
+                total[mono] = total.get(mono, 0) + c * cc
+        coeffs = [{} for _ in range(m + 1)]
+        for mono, c in total.items():
+            if c:
+                coeffs[mono >> shift][mono & mask] = c
+        out.append(coeffs)
     return out
 
 
 # A cell's equations in its layout (see _cell_layout): packed series on
-# the common coefficient `scale`, the first k variables eliminated, and
-# the arc grading its pairs are selected by.
-PackedCell = namedtuple("PackedCell", "mono k closed scale grading")
+# the common coefficient `scale`, the first k variables eliminated, the
+# arc grading its pairs are selected by, and the order keys its pieces
+# share (elimination_dimension's `keys`).
+PackedCell = namedtuple("PackedCell", "mono k closed scale grading keys")
 
 
 def _cell_layout(jr, image_level, lowest, degree, budget):
@@ -146,10 +168,13 @@ def _cell_layout(jr, image_level, lowest, degree, budget):
     k = 1 + n * (jr.level - image_level)
     mono = elimination_packing(1 + n * (jr.level + 1 - lowest), k, degree, budget)
     levels = [*range(image_level + 1, jr.level + 1), *range(image_level, lowest - 1, -1)]
-    variables = [(i, j) for j in levels for i in range(n)]
-    unit = {v: 1 << o | 1 << mono.degree_offset for v, o in zip(variables, mono.offsets[1:])}
-    places = tuple(tuple(unit.get((i, j)) for j in range(jr.level + 1)) for i in range(n))
-    return places, mono, k, (0,) + tuple(j for _, j in variables)
+    places = [[None] * (jr.level + 1) for _ in range(n)]
+    degree_bit = 1 << mono.degree_offset
+    offsets = iter(mono.offsets[1:])
+    for j in levels:
+        for row in places:
+            row[j] = 1 << next(offsets) | degree_bit
+    return places, mono, k, (0,) + tuple(j for j in levels for _ in range(n))
 
 
 def _view_layout(jr, lowest, degree):
@@ -264,7 +289,8 @@ def _realize(clauses, m, point, layout):
     # with a saturator 1 - w*g one degree above its generators
     degree = 1 + max(g.degree() for clause in clauses for g in clause.ideal.gens)
     lay = layout(jr, int(point is not None), degree)
-    gens = [c.ideal.translate(point).gens if point is not None else c.ideal.gens for c in clauses]
+    moved = point is not None and not _is_origin(point)
+    gens = [c.ideal.translate(point).gens if moved else c.ideal.gens for c in clauses]
     scale = lcm(*(c.denominator for polys in gens for g in polys for c in g.terms.values()))
     closed = []
     excluded = []
@@ -341,16 +367,30 @@ def image_dimension(cell, jet_ring, image_level, saturator=None, budget=None):
     when empty.  `jet_ring` and `image_level` name the cell, whose
     layout already holds them.
     """
-    mono, k, gens, scale, grading = cell
+    mono, k, gens, scale, grading, keys = cell
     if saturator is not None and saturator.keys() != {0}:  # a constant one removes nothing
         w = 1 << mono.offsets[0] | 1 << mono.degree_offset
         gens = gens + [{0: scale, **{mm + w: -c for mm, c in saturator.items()}}]
-    return elimination_dimension(gens, mono, k, budget, grading)
+    return elimination_dimension(gens, mono, k, budget, grading, keys)
+
+
+def _is_origin(point):
+    """True when every coordinate is an int or Fraction zero: there
+    translating is the identity and evaluating reads constant terms."""
+    return all(isinstance(c, (int, Fraction)) and not c for c in point)
 
 
 def check_point_on(I, point):
-    """Raise PreconditionError unless every generator of I vanishes at `point`."""
-    if any(g.evaluate(point) != 0 for g in I.gens):
+    """Raise PreconditionError unless every generator of I vanishes at `point`.
+
+    At the origin a generator vanishes exactly when it has no constant term.
+    """
+    n = I.ring.ngens
+    if len(point) == n and _is_origin(point):
+        nonzero = any((0,) * n in g.terms for g in I.gens)
+    else:
+        nonzero = any(g.evaluate(point) != 0 for g in I.gens)
+    if nonzero:
         raise PreconditionError("point does not lie on the variety")
 
 
@@ -394,7 +434,7 @@ def contact_cell_dim(clauses, level, image_level, point=None, budget=None, bound
         return _cell_layout(jr, image_level, image_level + 1 if vertex else lowest, degree, budget)
 
     jr, (_, mono, k, grading), scale, closed, excluded = _realize(clauses, level, point, layout)
-    cell = PackedCell(mono, k, closed, scale, grading)
+    cell = PackedCell(mono, k, closed, scale, grading, {})
     if not excluded:
         return image_dimension(cell, jr, image_level, None, budget)
     gs = [g for g in excluded if g]
@@ -518,6 +558,8 @@ def lambda_sequence(I, point, m_max, e_max=3, budget=None):
         raise PreconditionError("m_max must be at least 1")
     if e_max < 0:
         raise PreconditionError("e_max must be non-negative")
+    if I.is_zero_ideal():
+        raise PreconditionError("lambda rows need a nonzero ideal, not the zero ideal")
     point = tuple(point)
     check_point_on(I, point)
     n = I.krull_dimension(budget).dimension

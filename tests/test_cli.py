@@ -1,5 +1,6 @@
 """Input-file grammar, report rendering, exit codes, determinism."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -213,6 +214,42 @@ def test_cold_call_loads_no_argparse_or_locale():
     assert proc.stdout.splitlines() == ["0 False False", "[]"], proc.stderr
 
 
+# Every module the package imports outside itself.  A new one adds its
+# import time to every cold command: widen this only with a measurement
+# of the set-up time it costs.
+STDLIB_ALLOWED = {
+    "collections", "fractions", "functools", "heapq", "itertools", "math", "operator", "re",
+    "sys", "time",
+}
+
+
+def test_package_imports_only_pinned_stdlib_modules():
+    """Every import and from-import under src/jetspace, read with ast,
+    names the package itself or a module of STDLIB_ALLOWED."""
+    root = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    root = os.path.join(root, "jetspace")
+    seen = {}
+    for name in sorted(os.listdir(root)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(root, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                seen.setdefault(module.partition(".")[0], []).append(f"{name}:{node.lineno}")
+    outside = {top: where for top, where in seen.items() if top != "jetspace"}
+    assert set(outside) <= STDLIB_ALLOWED, {
+        top: where for top, where in outside.items() if top not in STDLIB_ALLOWED
+    }
+    assert set(outside) == STDLIB_ALLOWED, "drop modules no longer imported from the list"
+
+
 def test_run_file(tmp_path, capsys):
     src = tmp_path / "node.jsp"
     src.write_text("ring x, y\nideal X = x*y\npoint 0, 0\ncommand lambda m_max=1 e_max=1\n")
@@ -267,6 +304,25 @@ def test_point_off_variety_is_exit_3(tmp_path, capsys):
     assert code == 3
     assert "status: precondition-error" in out
     assert "does not lie on the variety" in out
+
+
+@pytest.mark.parametrize(
+    "command, error",
+    [
+        ("check-main", "the mld-hat check needs a nonzero ideal, not the zero ideal"),
+        ("lambda m_max=2", "lambda rows need a nonzero ideal, not the zero ideal"),
+    ],
+)
+def test_zero_ideal_is_rejected_by_name(tmp_path, capsys, command, error):
+    """X = 0 is refused before any Jacobian is built, with a message that
+    names the zero ideal, as lct-bound and ord-blowup do."""
+    src = tmp_path / "zero.jsp"
+    src.write_text(f"ring x, y\nideal X = 0\npoint 0, 0\ncommand {command}\n")
+    code, out = run_cli(capsys, "run", str(src))
+    assert code == 3
+    assert "status: precondition-error" in out
+    assert f"error: {error}\n" in out
+    assert "minors" not in out
 
 
 def test_budget_flag_partial_lambda_report(tmp_path, capsys):

@@ -633,6 +633,62 @@ def test_elimination_dimension_sets_pure_powers_to_zero(texts, k):
     assert packed == before
 
 
+def _packed_system(rng, triangular):
+    """2-3 random integer polynomials in w, x, y, z.  Triangular: each is
+    v^a plus terms of lower degree for its own variable v, so the leads
+    are pure powers of distinct variables, already a basis, and every
+    kept lead has a single-variable support."""
+    polys = []
+    for v in rng.sample(range(4), rng.randint(2, 3)):
+        a = rng.randint(1, 3)
+        p = R4W.monomial(tuple(a if i == v else 0 for i in range(4)), rng.choice((1, -2, 3)))
+        for _ in range(rng.randint(1, 3)):
+            if triangular:
+                exps = [0] * 4
+                for _ in range(rng.randint(0, a - 1)):
+                    exps[rng.randrange(4)] += 1
+            else:
+                exps = [rng.randint(0, 2) for _ in range(4)]
+            p = p + R4W.monomial(tuple(exps), rng.randint(-3, 3))
+        if not p.is_zero():
+            polys.append(p)
+    return polys
+
+
+@pytest.mark.parametrize("triangular", [True, False])
+def test_elimination_dimension_reads_lead_supports_as_masks(monkeypatch, triangular):
+    """Seeded packed systems against Ideal.eliminate(k).krull_dimension:
+    the triangular ones have only single-variable kept supports, whose
+    variables are counted without _min_hitting_set; the others have
+    mixed supports, which that search still sees."""
+    import jetspace.groebner as groebner
+
+    searched = []
+    real = groebner._min_hitting_set
+
+    def counting(supports, nvars):
+        searched.append(supports)
+        return real(supports, nvars)
+
+    monkeypatch.setattr(groebner, "_min_hitting_set", counting)
+    rng = random.Random(27 + triangular)
+    dims = set()
+    searched_here = 0
+    for _ in range(40):
+        polys = _packed_system(rng, triangular)
+        k = rng.randint(0, 2)
+        mono = elimination_packing(4, k, max(p.degree() for p in polys))
+        packed = [{mono.pack(e): int(c) for e, c in p.terms.items()} for p in polys]
+        expected = Ideal(R4W, tuple(polys)).eliminate(k).krull_dimension().dimension
+        del searched[:]  # the reference route searches too
+        assert elimination_dimension(packed, mono, k) == expected, (polys, k)
+        assert all(any(len(s) > 1 for s in sups) for sups in searched)
+        searched_here += len(searched)
+        dims.add(expected)
+    assert len(dims) >= 2
+    assert (searched_here == 0) == triangular
+
+
 def test_deep_cusp_cell_fits_a_small_pair_budget():
     """Cusp cell (m=7, e=3) at level 10 selects 160 and 0 pairs in its two
     pieces under sugar selection, with the pure powers set to 0 first;

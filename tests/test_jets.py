@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -191,6 +192,49 @@ def test_t_expand_multiplicative():
             for i in range(k + 1):
                 conv = conv + cf[i] * cg[k - i]
             assert conv == cfg[k]
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_arc_series_matches_substitution_with_t(nvars):
+    """_arc_series against Polynomial.substitute of x_i -> sum_j x_i__j t^j
+    in a ring that holds t, with no _series_mul: the t^k coefficients for
+    k <= m, at levels 0-6, with the levels below `lowest` set to 0 (lowest
+    0 for a free base point, 1 through a point, m + 1 where no level is
+    left and only the constant term survives)."""
+    rng = random.Random(2700 + nvars)
+    ring = Ring(("x", "y", "z")[:nvars])
+    for _ in range(30):
+        p = ring.zero()
+        for _ in range(rng.randint(1, 4)):
+            # exponents up to 3, terms of degree up to 5: the untruncated
+            # substitution stays small
+            exps = tuple(rng.randint(0, 3) for _ in range(nvars))
+            while sum(exps) > 5:
+                exps = tuple(rng.randint(0, 3) for _ in range(nvars))
+            c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+            p = p + ring.monomial(exps, c)
+        if p.is_zero():
+            continue
+        m = rng.randint(0, 6)
+        jr = JetRing(ring, m)
+        names = jr.ring.names
+        T = Ring(names + ("t",))
+        t = T.var(len(names))
+        scale = lcm(*(c.denominator for c in p.terms.values()))
+        for lowest in (0, 1, m + 1):
+            arc = {
+                i: sum((T.var(jr.index(i, j)) * t**j for j in range(lowest, m + 1)), T.zero())
+                for i in range(nvars)
+            }
+            expected = [{} for _ in range(m + 1)]
+            for exps, c in p.substitute(arc).terms.items():
+                if exps[-1] <= m:
+                    expected[exps[-1]][exps[:-1]] = c
+            places, mono = jets._view_layout(jr, lowest, p.degree())
+            (got,) = jets._arc_series([p], m, places, scale)
+            assert [
+                {mono.unpack(mm): Fraction(c, scale) for mm, c in coeff.items()} for coeff in got
+            ] == expected, (p, m, lowest)
 
 
 def test_t_expand_truncation_prefix_compatible():
