@@ -75,7 +75,7 @@ from operator import lshift, mul
 
 from .errors import BudgetExhausted, PreconditionError, RingMismatchError
 from .orders import GREVLEX, Block
-from .poly import Polynomial, Ring, divide_exact, fresh_name, map_variables
+from .poly import Polynomial, Ring, _from_clean, divide_exact, fresh_name, map_variables
 
 
 # Caps for a single Groebner basis run.
@@ -290,7 +290,7 @@ def _normal_form_ip(work, scale, basis, memo, mono, max_degree):
 
 
 def _to_polynomial(ring, ip, mono, den):
-    return Polynomial(ring, {mono.unpack(m): Fraction(c, den) for _, m, c in ip})
+    return _from_clean(ring, {mono.unpack(m): Fraction(c, den) for _, m, c in ip})
 
 
 def _check_input_degree(degree, cap):
@@ -454,7 +454,10 @@ def reduced_groebner(gens, order=GREVLEX, budget=None):
     """Reduced Groebner basis of the ideal generated by `gens`.
 
     Returns a tuple of monic Polynomials sorted by leading monomial,
-    largest first.  The zero ideal yields the empty tuple.
+    largest first, each with its terms largest first.  The zero ideal
+    yields the empty tuple.  A single generator is its own reduced basis:
+    it selects no pair and no lead divides a smaller term, so it is only
+    made monic.
     """
     budget = budget or DEFAULT_BUDGET
     gens = [g for g in gens if not g.is_zero()]
@@ -467,6 +470,11 @@ def reduced_groebner(gens, order=GREVLEX, budget=None):
         _check_input_degree(g.degree(), budget.max_degree)
 
     mono = _monomials(order, ring.ngens, budget.max_degree)
+    if len(gens) == 1:
+        weights = mono.weights  # negated: ascending keys, largest monomial first
+        terms = sorted(gens[0].terms.items(), key=lambda t: sum(map(mul, weights, t[0])))
+        lc = terms[0][1]
+        return (_from_clean(ring, {e: c / lc for e, c in terms}),)
     inputs = sorted((_terms(g, mono) for g in gens), key=_processing_order)
     minimal = _minimal_basis([_integral(ip)[0] for ip in inputs], mono, budget)
 
@@ -716,11 +724,11 @@ class Ideal:
         target = Ring(self.ring.names[k:])
         order = Block(k, GREVLEX)
         gb = reduced_groebner(self.gens, order, budget)
-        index_map = {i + k: i for i in range(self.ring.ngens - k)}
-        kept = []
-        for g in gb:
-            if all(all(e[i] == 0 for i in range(k)) for e in g.terms):
-                kept.append(map_variables(g, target, index_map))
+        kept = [
+            _from_clean(target, {e[k:]: c for e, c in g.terms.items()})
+            for g in gb
+            if not any(any(e[:k]) for e in g.terms)
+        ]
         # the block order restricted to the kept variables is grevlex, so
         # the kept elements are already their ideal's reduced grevlex basis
         eliminated = Ideal(target, tuple(kept))
@@ -743,12 +751,14 @@ class Ideal:
         for _ in gs:
             fresh += (fresh_name("t", names + fresh),)
         big = Ring(fresh + names)
-        index_map = {i: i + k for i in range(len(names))}
-        lifted = [map_variables(g, big, index_map) for g in self.gens]
-        last = big.one()
+        # term dicts in the big ring: each g's exponents behind k fresh ones
+        pad = (0,) * k
+        lifted = [_from_clean(big, {pad + e: c for e, c in g.terms.items()}) for g in self.gens]
+        last = {pad + (0,) * len(names): Fraction(1)}
         for i, g in enumerate(gs):
-            last = last - big.var(i) * map_variables(g, big, index_map)
-        return Ideal(big, tuple(lifted) + (last,)).eliminate(k, budget)
+            t = pad[:i] + (1,) + pad[i + 1 :]
+            last.update({t + e: -c for e, c in g.terms.items()})
+        return Ideal(big, (*lifted, _from_clean(big, last))).eliminate(k, budget)
 
     def intersect_with(self, other, budget=None):
         if self.ring != other.ring:

@@ -28,6 +28,7 @@ from .groebner import Ideal, reduced_groebner
 from .jets import (
     ContactClause,
     _lambda_rows,
+    _pure_jacobian,
     check_point_on,
     contact_cell_dim,
     contact_cell_walk,
@@ -82,6 +83,7 @@ def tangent_cone(I, point=None, budget=None):
             forms.append(dehom.initial_form())
     cone_gb = reduced_groebner(tuple(forms), GREVLEX, budget)
     cone = Ideal(base, cone_gb)
+    cone._gb_cache[GREVLEX.tag()] = cone_gb  # its own reduced basis, as in eliminate
     if len(cone_gb) == 1:
         return TangentCone(point, cone, True, cone_gb[0])
     return TangentCone(point, cone, False, None)
@@ -112,7 +114,8 @@ def has_multiplicity_one_factor(f, budget=None):
 # Outcome of the two-route maximal-discrepancy test at a point.
 # cone_status: "decided" or "undecided-nonprincipal"
 # cone_verdict: bool, or None when the cone route is undecided
-# lambda_report: the LambdaReport of the jet row m=1
+# lambda_report: the LambdaReport of the jet row m=1, with singular_dim
+#   None and no notes: only lambda_sequence computes the singular locus
 # lambda_verdict: bool, or None when the jet row did not converge
 # verdict: bool, or None when the routes leave the question open
 # agreement: bool when both routes answered, else None
@@ -131,7 +134,10 @@ def check_mld_hat_equals_n(I, point, e_max=3, budget=None):
     disagreement between the two routes is an internal error and raises
     AgreementError.  For curves the cone test is not a valid criterion,
     so the verdict is the jet route's, None when its row did not
-    converge, and a note records any divergence.
+    converge, and a note records any divergence.  The jet route is
+    lambda_sequence's row m=1 without the singular-locus dimension, which
+    no verdict reads: lambda_report.singular_dim is None and its notes
+    are empty.
     """
     if I.is_zero_ideal():
         raise PreconditionError("the mld-hat check needs a nonzero ideal, not the zero ideal")
@@ -159,7 +165,8 @@ def check_mld_hat_equals_n(I, point, e_max=3, budget=None):
             "would need factorization, deferring to the jet route"
         )
 
-    lambda_report = _lambda_rows(I, point, n, cone, 1, e_max, budget)
+    jac = _pure_jacobian(I, point, n, cone, budget)
+    lambda_report = _lambda_rows(I, point, n, jac, 1, e_max, budget)
     row = lambda_report.rows[0]
     lambda_verdict = None
     if row.converged and row.value is not None:

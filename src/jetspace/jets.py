@@ -510,6 +510,9 @@ LambdaRow = namedtuple("LambdaRow", "m value cells converged note", defaults=(""
 
 # stabilized: the stable lambda value, or None
 # mld_hat: n + lambda when stabilized, else None
+# singular_dim: dim V(I + jac), with a note on what it means for the rows;
+# only lambda_sequence computes it, so check-main's report has None and
+# no notes
 LambdaReport = namedtuple(
     "LambdaReport",
     "point n m_max e_max rows stabilized mld_hat singular_dim notes budget_hit",
@@ -553,6 +556,9 @@ def lambda_sequence(I, point, m_max, e_max=3, budget=None):
     X = (x^2*z, y*z) at (0, 0, 1) is locally the doubled line
     x^2 = y = 0, and each of its minors 2*x*z^2, 2*x*y*z, -x^2*z
     saturates X to the unit ideal, but its cone there has dimension 1.
+
+    The report's singular_dim is the dimension of V(I + jac), computed
+    after these checks and before the rows.
     """
     if m_max < 1:
         raise PreconditionError("m_max must be at least 1")
@@ -567,13 +573,26 @@ def lambda_sequence(I, point, m_max, e_max=3, budget=None):
         raise PreconditionError(f"variety dimension is {n}; need a positive-dimensional variety")
     from .invariants import tangent_cone  # invariants imports this module
 
-    return _lambda_rows(I, point, n, tangent_cone(I, point, budget), m_max, e_max, budget)
+    jac = _pure_jacobian(I, point, n, tangent_cone(I, point, budget), budget)
+    singular_dim = (I + jac).krull_dimension(budget).dimension
+    if singular_dim <= 0:
+        note = (
+            "singular locus is empty or zero-dimensional: the liftable rows "
+            "equal the full defect (isolated-singularity identification)"
+        )
+    else:
+        note = (
+            f"singular locus has dimension {singular_dim}: rows bound the full "
+            "defect from above but may miss arc families inside the singular locus"
+        )
+    report = _lambda_rows(I, point, n, jac, m_max, e_max, budget)
+    return report._replace(singular_dim=singular_dim, notes=(note,))
 
 
-def _lambda_rows(I, point, n, cone, m_max, e_max, budget):
-    """lambda_sequence past its argument checks, for a point on the
-    n-dimensional V(I) with tangent cone `cone` there; check-main passes
-    the cone it has built already."""
+def _pure_jacobian(I, point, n, cone, budget):
+    """The Jacobian ideal of the n-dimensional V(I), once lambda_sequence's
+    purity checks pass at `point`, where `cone` is V(I)'s tangent cone;
+    check-main passes the cone it has built already."""
     # dim O_{X,p} is the dimension of its graded ring, the tangent cone's
     local = cone.ideal.krull_dimension(budget).dimension
     if local < n:
@@ -591,8 +610,13 @@ def _lambda_rows(I, point, n, cone, m_max, e_max, budget):
                     f"Jacobian minor {g} is not zero on X : ({g})^inf = {rest}, which "
                     "passes through the point"
                 )
-    jac = jacobian_of(I, budget)
-    singular_dim = (I + jac).krull_dimension(budget).dimension
+    return jacobian_of(I, budget)
+
+
+def _lambda_rows(I, point, n, jac, m_max, e_max, budget):
+    """The rows of lambda_sequence for a point on the n-dimensional V(I)
+    with Jacobian ideal `jac`, past every check; singular_dim None, no
+    notes."""
 
     def tail(m):
         """T(m, e_max): the closed tail, the probe cell's upper bound."""
@@ -643,17 +667,7 @@ def _lambda_rows(I, point, n, cone, m_max, e_max, budget):
         if last.converged and prev.converged and last.value == prev.value is not None:
             stabilized = last.value
             mld_hat = n + stabilized
-    if singular_dim <= 0:
-        note = (
-            "singular locus is empty or zero-dimensional: the liftable rows "
-            "equal the full defect (isolated-singularity identification)"
-        )
-    else:
-        note = (
-            f"singular locus has dimension {singular_dim}: rows bound the full "
-            "defect from above but may miss arc families inside the singular locus"
-        )
     return LambdaReport(
         point=point, n=n, m_max=m_max, e_max=e_max, rows=rows, stabilized=stabilized,
-        mld_hat=mld_hat, singular_dim=singular_dim, notes=(note,), budget_hit=budget_hit,
+        mld_hat=mld_hat, singular_dim=None, notes=(), budget_hit=budget_hit,
     )

@@ -15,6 +15,11 @@ an equal polynomial.  An int is a run of decimal digits of any script (what
 other character, nesting past the interpreter's recursion limit and an int
 past its int-string digit limit are parse errors.  Point coordinates and
 clause weights are read by `parse_rational`: [-+]int or [-+]int/uint.
+
+Subexpressions are term dicts, combined by the helpers behind
+Polynomial's operators, so a parse gives the operators' terms in their
+order and builds one Polynomial.  Integer coefficients stay ints, which
+add and multiply faster than Fractions, until that Polynomial is built.
 """
 
 import re
@@ -22,6 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ParseError, PreconditionError
+from .poly import _from_clean, add_terms, mul_terms, pow_terms
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[^\W\d]\w*)|(?P<sym>[-+*^/()])|(?P<bad>\S))")
 _RATIONAL = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*")
@@ -68,39 +74,46 @@ class _Parser:
         return tok.value
 
     def expr(self):
-        p = -self.term() if self.accept("-") else self.term()
+        if self.accept("-"):
+            p = {e: -c for e, c in self.term().items()}
+        else:
+            p = self.term()
         while True:
             if self.accept("+"):
-                p = p + self.term()
+                p = add_terms(p, self.term())
             elif self.accept("-"):
-                p = p - self.term()
+                p = add_terms(p, {e: -c for e, c in self.term().items()})
             else:
                 return p
 
     def term(self):
         p = self.factor()
         while self.accept("*"):
-            p = p * self.factor()
+            p = mul_terms(p, self.factor())
         return p
 
     def factor(self):
         a = self.atom()
-        return a ** self.expect("int") if self.accept("^") else a
+        return pow_terms(a, self.expect("int"), self.ring.ngens) if self.accept("^") else a
 
     def atom(self):
+        """The term dict of the next atom, an int or Fraction coefficient."""
         tok = self.tokens.pop()
         if tok.kind == "name":
             try:
-                return self.ring.var(self.ring.index(tok.value))
+                i = self.ring.index(tok.value)
             except PreconditionError:
                 self.fail(f"unknown variable {tok.value!r}", tok)
+            return {(0,) * i + (1,) + (0,) * (self.ring.ngens - i - 1): 1}
         if tok.kind == "int":
             if self.accept("/"):
                 denominator = self.expect("int")
                 if denominator == 0:
                     self.fail("zero denominator", tok)
-                return self.ring.constant(Fraction(tok.value, denominator))
-            return self.ring.constant(tok.value)
+                c = Fraction(tok.value, denominator)
+            else:
+                c = tok.value
+            return {(0,) * self.ring.ngens: c} if c else {}
         if tok.kind == "(":
             p = self.expr()
             self.expect(")")
@@ -119,7 +132,7 @@ def parse_polynomial(text, ring, line=None):
     tok = parser.tokens[-1]
     if tok.kind != "end":
         parser.fail(f"unexpected trailing input {str(tok.value)!r}", tok)
-    return p
+    return _from_clean(ring, {e: Fraction(c) for e, c in p.items()})
 
 
 def parse_rational(text):

@@ -4,6 +4,12 @@ A Polynomial stores {exponent_tuple: Fraction} with no zero coefficients.
 All coefficients are exact Fractions; floats are rejected.  Polynomials are
 immutable in practice: no method mutates terms after construction.
 
+Only Polynomial() validates its terms.  Arithmetic results, already
+clean, go through _from_clean; their term dicts come from add_terms,
+mul_terms and pow_terms.  The parser calls those helpers too, on int or
+Fraction coefficients, so a parse builds one Polynomial per expression
+with the terms in the order the operators give them.
+
 Printing is canonical: terms appear in descending grevlex order with
 explicit '*' between factors and '^' for powers, so equal polynomials always
 produce identical strings.  The parser in parser.py accepts everything the
@@ -12,6 +18,7 @@ printer emits.
 
 import re
 from fractions import Fraction
+from operator import add
 
 from .errors import PreconditionError, RingMismatchError
 from .orders import GREVLEX
@@ -55,13 +62,13 @@ class Ring:
         if not 0 <= i < len(self.names):
             raise PreconditionError(f"variable index {i} out of range")
         exps = tuple(1 if j == i else 0 for j in range(len(self.names)))
-        return Polynomial(self, {exps: Fraction(1)})
+        return _from_clean(self, {exps: Fraction(1)})
 
     def gens(self):
         return tuple(self.var(i) for i in range(len(self.names)))
 
     def zero(self):
-        return Polynomial(self, {})
+        return _from_clean(self, {})
 
     def one(self):
         return self.constant(1)
@@ -70,7 +77,7 @@ class Ring:
         c = _coerce(c)
         if c == 0:
             return self.zero()
-        return Polynomial(self, {(0,) * len(self.names): c})
+        return _from_clean(self, {(0,) * len(self.names): c})
 
     def monomial(self, exps, coeff=1):
         exps = tuple(exps)
@@ -79,7 +86,7 @@ class Ring:
         coeff = _coerce(coeff)
         if coeff == 0:
             return self.zero()
-        return Polynomial(self, {exps: coeff})
+        return _from_clean(self, {exps: coeff})
 
     def __eq__(self, other):
         return isinstance(other, Ring) and self.names == other.names
@@ -92,6 +99,8 @@ class Ring:
 
 
 def _coerce(c):
+    if c.__class__ is Fraction:
+        return c
     if isinstance(c, Fraction):
         return c
     if isinstance(c, int):
@@ -147,7 +156,7 @@ class Polynomial:
         if not self.terms:
             return self
         d = self.min_degree()
-        return Polynomial(self.ring, {e: c for e, c in self.terms.items() if sum(e) == d})
+        return _from_clean(self.ring, {e: c for e, c in self.terms.items() if sum(e) == d})
 
     # -- leading data -------------------------------------------------
 
@@ -166,12 +175,12 @@ class Polynomial:
         c = self.leading_coefficient(order)
         if c == 1:
             return self
-        return Polynomial(self.ring, {e: v / c for e, v in self.terms.items()})
+        return _from_clean(self.ring, {e: v / c for e, v in self.terms.items()})
 
     # -- arithmetic ---------------------------------------------------
 
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError(
                 f"operands live in {self.ring!r} and {other.ring!r}"
             )
@@ -179,20 +188,13 @@ class Polynomial:
     def __add__(self, other):
         other = self._lift(other)
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Polynomial(self.ring, out)
+        return _from_clean(self.ring, add_terms(self.terms, other.terms))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        return _from_clean(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -202,22 +204,13 @@ class Polynomial:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ is not Polynomial and isinstance(other, (int, Fraction)):
             c = _coerce(other)
             if c == 0:
                 return self.ring.zero()
-            return Polynomial(self.ring, {e: v * c for e, v in self.terms.items()})
+            return _from_clean(self.ring, {e: v * c for e, v in self.terms.items()})
         self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Polynomial(self.ring, out)
+        return _from_clean(self.ring, mul_terms(self.terms, other.terms))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -225,17 +218,11 @@ class Polynomial:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise PreconditionError("exponent must be a non-negative integer")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _from_clean(self.ring, pow_terms(self.terms, n, self.ring.ngens))
 
     def _lift(self, other):
+        if other.__class__ is Polynomial:
+            return other
         if isinstance(other, (int, Fraction)):
             return self.ring.constant(other)
         if isinstance(other, Polynomial):
@@ -265,7 +252,7 @@ class Polynomial:
             new = list(e)
             new[i] -= 1
             out[tuple(new)] = c * e[i]
-        return Polynomial(self.ring, out)
+        return _from_clean(self.ring, out)
 
     def evaluate(self, point):
         """Evaluate at a full point (sequence of Fractions); returns Fraction."""
@@ -372,6 +359,62 @@ class Polynomial:
         return f"<{self}>"
 
 
+def _from_clean(ring, terms):
+    """A Polynomial on `terms` as is, a dict known to be clean: nonzero
+    Fraction coefficients on exponent tuples of the ring's arity."""
+    p = object.__new__(Polynomial)
+    p.ring = ring
+    p.terms = terms
+    p._hash = None
+    return p
+
+
+def add_terms(a, b):
+    """The term dict of a + b, for term dicts with no zero coefficient:
+    a's monomials in their order, then b's new ones."""
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e)
+        if s is None:
+            out[e] = c
+        elif s := s + c:
+            out[e] = s
+        else:
+            del out[e]
+    return out
+
+
+def mul_terms(a, b):
+    """The term dict of a * b, for term dicts with no zero coefficient,
+    each product monomial where the loop over a's terms, then b's, first
+    makes it."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            s = out.get(e)
+            if s is None:
+                out[e] = c1 * c2
+            elif s := s + c1 * c2:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def pow_terms(a, n, nvars):
+    """The term dict of a^n, for a term dict in `nvars` variables with no
+    zero coefficient, by repeated squaring."""
+    result = None  # the unit 1, until the first factor
+    while n:
+        if n & 1:
+            result = a if result is None else mul_terms(result, a)
+        n >>= 1
+        if n:
+            a = mul_terms(a, a)
+    return {(0,) * nvars: Fraction(1)} if result is None else result
+
+
 def fresh_name(base, taken):
     """`base` with underscores prepended until it is not among `taken`."""
     taken = set(taken)
@@ -399,7 +442,8 @@ def map_variables(poly, new_ring, index_map):
                 )
             new[index_map[i]] = exp
         out[tuple(new)] = out.get(tuple(new), 0) + c
-    return Polynomial(new_ring, out)
+    # terms merge, and may cancel, only when index_map is not injective
+    return _from_clean(new_ring, {e: c for e, c in out.items() if c})
 
 
 def divide_exact(f, g):

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 from jetspace.cli import main, parse_input
 from jetspace.corpus import CORPUS
 from jetspace.errors import ParseError
+from jetspace.jets import liftable_image_dim
 
 
 def run_cli(capsys, *argv):
@@ -562,6 +564,29 @@ def test_check_main_curve_without_jet_verdict_stays_open(tmp_path, capsys):
     assert "jet verdict: none" in out
     assert "overall verdict: none" in out
     assert "status: budget-exhausted" in out
+
+
+def test_check_main_skips_the_singular_locus_basis(tmp_path, capsys):
+    """On this space curve (n = 1, so jac is the three 2 x 2 minors) the
+    basis of I + jac, the singular locus, runs past 20 s and is not
+    stopped by max_pairs=100.  No check-main report prints that
+    dimension, so check-main never computes it and ends at once; its row
+    cells equal direct liftable_image_dim calls."""
+    src = tmp_path / "curve.jsp"
+    src.write_text(
+        "ring x, y, z\n"
+        "ideal X = -2*x*y^2 + x^2 - y^2 - y^2*z^2, -2*x*z + 2*x*y^2*z^3 + 2*x^3*y*z^3\n"
+        "point 0, 0, 0\nbudget max_pairs=100\ncommand check-main\n"
+    )
+    code, out = run_cli(capsys, "run", str(src))
+    assert code == 0 and out.endswith("status: ok\n")
+    assert "  verdict = true\n" in out and "  lambda_1 = 0\n" in out
+    cells = re.search(r"jet row m=1: value=0 converged=true cells=(\S+)\n", out).group(1)
+    doc = parse_input(src.read_text())
+    X = doc.ideals["X"]
+    for cell in cells.split(","):
+        e, d = map(int, cell.split(":"))
+        assert liftable_image_dim(X, doc.point, 1, e) == d, e
 
 
 def test_point_on_a_lower_dimensional_component(tmp_path, capsys):

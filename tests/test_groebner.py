@@ -28,7 +28,7 @@ from jetspace.jets import (
     jacobian_ideal,
     jet_ideal,
 )
-from jetspace.orders import GREVLEX, LEX, Block, Weight
+from jetspace.orders import GREVLEX, GRLEX, LEX, Block, Weight
 from jetspace.parser import parse_polynomial
 from jetspace.poly import Polynomial, Ring, map_variables
 
@@ -220,6 +220,33 @@ def test_reduced_basis_structure_random():
             others = [h for j, h in enumerate(gb) if j != i]
             if others:
                 assert normal_form(g, others, GREVLEX) == g
+
+
+@pytest.mark.parametrize(
+    "order",
+    [GREVLEX, LEX, GRLEX, Block(1), Block(2, LEX), Weight((1, 1, 1), Weight((1, 0, 0), GREVLEX))],
+    ids=["grevlex", "lex", "grlex", "block1", "block2-lex", "nested-weight"],
+)
+def test_one_generator_is_its_own_reduced_basis(order):
+    """A single generator skips the kernel: it comes back monic with its
+    terms largest first, the same value and term order as the kernel's
+    basis of (g, 2*g); over the degree cap it still raises."""
+    rng = random.Random(2929)
+    for _ in range(40):
+        scale = Fraction(rng.randrange(1, 9), rng.randrange(1, 9))
+        g = random_poly(rng, R3, max_terms=5, max_exp=3) * scale
+        if g.is_zero():
+            continue
+        (alone,) = reduced_groebner([g], order)
+        (kernel,) = reduced_groebner([g, 2 * g], order)
+        assert alone == kernel
+        assert list(alone.terms) == list(kernel.terms)
+        assert list(alone.terms.values()) == list(kernel.terms.values())
+        keys = [order.key(e) for e in alone.terms]
+        assert keys == sorted(keys, reverse=True) and alone.terms[next(iter(alone.terms))] == 1
+        if g.degree() > 0:
+            with pytest.raises(BudgetExhausted):
+                reduced_groebner([g], order, Budget(max_degree=g.degree() - 1))
 
 
 def test_groebner_property_spoly_reduction():

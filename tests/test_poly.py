@@ -8,6 +8,7 @@ import pytest
 
 from jetspace.errors import PreconditionError, RingMismatchError
 from jetspace.orders import GREVLEX, GRLEX, LEX
+from jetspace.parser import parse_polynomial
 from jetspace.poly import Polynomial, Ring, divide_exact, map_variables
 
 
@@ -223,3 +224,92 @@ def test_hash_and_dict_use():
     assert a == b and hash(a) == hash(b)
     d = {a: 1}
     assert d[b] == 1
+
+
+# Arithmetic results skip Polynomial()'s validation, and the parser
+# combines term dicts with the operators' own helpers.
+
+
+def assert_clean(p):
+    """p holds what Polynomial() would keep: nonzero exact Fractions on
+    exponent tuples of the ring's arity, in the same order."""
+    for e, c in p.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert type(e) is tuple and len(e) == p.ring.ngens
+        assert all(type(a) is int and a >= 0 for a in e)
+    rebuilt = Polynomial(p.ring, dict(p.terms))
+    assert list(rebuilt.terms.items()) == list(p.terms.items())
+
+
+def test_arithmetic_results_are_clean():
+    rng = random.Random(2903)
+    for _ in range(300):
+        f, g = random_poly(rng, R3), random_poly(rng, R3)
+        k = rng.randrange(-2, 3)
+        results = [
+            f + g, f - g, f - f, -f, f + k, k - f, f * g, f * k, Fraction(k, 3) * f,
+            f ** rng.randrange(4), f.partial_derivative(rng.randrange(3)),
+            f.monic(GREVLEX) if f.terms else f, f.initial_form(),
+            map_variables(f, R3, {0: 2, 1: 0, 2: 1}),
+            # x*y and x*z both land on x*y, so terms merge and may cancel
+            map_variables(f, R2, {0: 0, 1: 1, 2: 1}),
+        ]
+        for p in results:
+            assert_clean(p)
+
+
+def random_expression(rng, ring):
+    """(text, value) of a random expression in the parser's grammar: the
+    value is built by Polynomial's operators in the grammar's grouping,
+    with unary minus, parenthesized powers, 0, ^0 and rationals."""
+
+    def expr(depth):
+        text, value = term(depth)
+        if rng.random() < 0.3:
+            text, value = "-" + text, -value
+        for _ in range(rng.randrange(3)):
+            t, v = term(depth)
+            if rng.random() < 0.5:
+                text, value = f"{text} + {t}", value + v
+            else:
+                text, value = f"{text} - {t}", value - v
+        return text, value
+
+    def term(depth):
+        text, value = factor(depth)
+        for _ in range(rng.randrange(3)):
+            t, v = factor(depth)
+            text, value = f"{text}*{t}", value * v
+        return text, value
+
+    def factor(depth):
+        text, value = atom(depth)
+        if rng.random() < 0.3:
+            k = rng.randrange(4)
+            text, value = f"{text}^{k}", value**k
+        return text, value
+
+    def atom(depth):
+        kind = rng.randrange(4 if depth < 3 else 3)
+        if kind == 0:
+            i = rng.randrange(ring.ngens)
+            return ring.names[i], ring.var(i)
+        if kind == 1:
+            n = rng.randrange(4)
+            return str(n), ring.constant(n)
+        if kind == 2:
+            n, d = rng.randrange(5), rng.randrange(1, 5)
+            return f"{n}/{d}", ring.constant(Fraction(n, d))
+        text, value = expr(depth + 1)
+        return f"({text})", value
+
+    return expr(0)
+
+
+def test_parse_builds_what_the_operators_build():
+    rng = random.Random(2904)
+    for _ in range(1000):
+        text, value = random_expression(rng, R3)
+        p = parse_polynomial(text, R3)
+        assert list(p.terms.items()) == list(value.terms.items()), text
+        assert_clean(p)
