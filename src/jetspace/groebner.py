@@ -553,10 +553,30 @@ def _min_hitting_set(supports, nvars):
     return best[0]
 
 
-def elimination_packing(nvars, k, degree, budget=None):
-    """Block(k) packing of `nvars` variables for terms of `degree` and the cap."""
+def elimination_packing(nvars, degree, budget=None):
+    """Packing of `nvars` fields for terms of `degree` and the cap; see
+    block_order for its keys."""
     cap = (budget or DEFAULT_BUDGET).max_degree
-    return _monomials(Block(k, GREVLEX), nvars, max(degree, cap))
+    return _monomials(GREVLEX, nvars, max(degree, cap))
+
+
+def block_order(mono, fields, k, degree, budget=None):
+    """(packing, eliminated) for elimination_dimension: `mono` keyed by
+    Block(k) grevlex on the variables at `fields` (field indices, in that
+    sequence), for terms of `degree` and the cap, and the mask of every
+    field but fields[k:], the kept ones.  The keys are those of a packing
+    of the variables in that sequence alone; fields outside `fields` hold
+    no variable, get weight 0 and count as eliminated."""
+    cap = (budget or DEFAULT_BUDGET).max_degree
+    weights = [0] * len(mono.offsets)
+    for i, w in zip(fields, Block(k, GREVLEX).weights(len(fields), 2 * max(degree, cap))):
+        weights[i] = -w  # negated, as in _Monomials
+    keyed = object.__new__(_Monomials)
+    keyed.__dict__.update(mono.__dict__, weights=tuple(weights))
+    full = (1 << mono.width) - 1
+    kept = sum(full << mono.offsets[i] for i in fields[k:])
+    everything = (1 << len(mono.offsets) * mono.width) - 1
+    return keyed, everything & ~kept
 
 
 def _zero_set_system(polys, mono):
@@ -591,36 +611,42 @@ def _zero_set_system(polys, mono):
         polys = [q for q in ({m: c for m, c in p.items() if not m & killed} for p in polys) if q]
 
 
-def elimination_dimension(polys, mono, k, budget=None, grading=None, keys=None):
-    """Dimension of the closure of V(polys) projected away from the first
-    k variables, -1 when V(polys) is empty; `polys` are dicts {packed
-    monomial: int} in `mono`, from elimination_packing, on one scale.
+def elimination_dimension(polys, mono, eliminated, budget=None, grading=None, keys=None):
+    """Dimension of the closure of V(polys) projected away from the
+    variables whose fields are in the mask `eliminated`, -1 when V(polys)
+    is empty; `polys` are dicts {packed monomial: int} in `mono`, from
+    block_order, on one scale.  Every field outside the mask is a kept
+    variable, whether or not a polynomial uses it.
 
     That closure, and so its dimension, depends on the zero set V(polys)
     only, so _zero_set_system first replaces each pure power c*x^a by x
-    and drops the terms in x from the other polynomials.  A saturator
-    1 - w*g goes through the same pass; when g vanishes once the killed
-    variables are 0, it leaves a constant and the run is proved empty at
-    its first input.
+    and drops the terms in x from the other polynomials.  A nonzero
+    constant left by that pass proves V empty, and the result is -1
+    before any key or basis run; a saturator 1 - w*g whose g vanishes
+    once the killed variables are 0 leaves such a constant.
 
-    Dimension reads only the leads of the Block(k) basis elements free of
-    the first k variables, and the minimal basis has the reduced basis's
+    Dimension reads only the leads of the basis elements free of the
+    eliminated variables, and the minimal basis has the reduced basis's
     leads: no interreduction, no conversion to Polynomials.  A lead's
     support is read as a mask of the guard bits of its nonzero fields.
     A single-variable support puts its variable in every hitting set, so
     those variables are counted and the supports they meet dropped; only
     what is left goes to _min_hitting_set.  With `grading`, a weight per
-    variable of `mono`, pairs are selected by sugar in it; a contact cell
+    field of `mono`, pairs are selected by sugar in it; a contact cell
     passes its arc grading, in which every closed generator is
     weighted-homogeneous.  `keys`, a dict {packed monomial: order key}
     for `mono`, memoizes the keys across calls that share it.
     """
     budget = budget or DEFAULT_BUDGET
-    keys = {} if keys is None else keys
-    inputs = []
-    for p in _zero_set_system(polys, mono):
+    system = _zero_set_system(polys, mono)
+    for p in system:
         # the largest packed monomial has the largest degree field
         _check_input_degree(max(p) >> mono.degree_offset, budget.max_degree)
+    if any(len(p) == 1 and 0 in p for p in system):
+        return -1
+    keys = {} if keys is None else keys
+    inputs = []
+    for p in system:
         ip = []
         for m, c in p.items():
             key = keys.get(m)
@@ -632,7 +658,6 @@ def elimination_dimension(polys, mono, k, budget=None, grading=None, keys=None):
     inputs.sort(key=_processing_order)
     top = 1 << (mono.width - 1)  # a field's guard bit
     guards = mono.units * top
-    eliminated = (1 << k * mono.width) - 1  # the fields of the first k variables
     forced = 0  # the guard bits of the single-variable supports
     mixed = []
     for lm, _, _ in _minimal_basis(inputs, mono, budget, grading):
@@ -652,7 +677,8 @@ def elimination_dimension(polys, mono, k, budget=None, grading=None, keys=None):
         {i for i, o in enumerate(mono.offsets) if s >> o & top} for s in mixed if not s & forced
     ]
     hitting = len(_min_hitting_set(supports, nvars)) if supports else 0
-    return nvars - k - forced.bit_count() - hitting
+    kept = nvars - (eliminated & mono.units).bit_count()
+    return kept - forced.bit_count() - hitting
 
 
 class Ideal:
@@ -777,10 +803,22 @@ class Ideal:
     def krull_dimension(self, budget=None):
         """Dimension of the quotient ring, with a maximal independent set.
 
-        The empty variety (trivial ideal) reports dimension -1.
+        The empty variety (trivial ideal) reports dimension -1.  A single
+        nonconstant generator needs no basis run: by Krull's principal
+        ideal theorem every component of V(f) has dimension n - 1, and the
+        basis route, whose one element is f made monic, hits the first
+        variable of f's grevlex leading monomial.  Its degree is checked
+        against the budget as reduced_groebner would.
         """
-        gb = self.groebner_basis(GREVLEX, budget)
         n = self.ring.ngens
+        if len(self.gens) == 1:
+            (f,) = self.gens
+            _check_input_degree(f.degree(), (budget or DEFAULT_BUDGET).max_degree)
+            if f.is_constant():
+                return DimensionResult(-1, ())
+            first = next(i for i, e in enumerate(f.leading_monomial(GREVLEX)) if e)
+            return DimensionResult(n - 1, self.ring.names[:first] + self.ring.names[first + 1 :])
+        gb = self.groebner_basis(GREVLEX, budget)
         if any(g.is_constant() for g in gb):
             return DimensionResult(-1, ())
         leads = [g.leading_monomial(GREVLEX) for g in gb]

@@ -1,6 +1,6 @@
 """Tangent cones, the reduced-component test, and jet-theoretic bounds
 for log-canonical-threshold and minimal-log-discrepancy style invariants,
-each row and cell of their tables one jets.contact_cell_dim call.
+each table one jets.CellTable and each row or cell one of its cells.
 
 The headline decision procedure, check_mld_hat_equals_n, answers whether
 the Mather-style minimal log discrepancy at a point equals the variety's
@@ -26,11 +26,11 @@ from itertools import product
 from .errors import AgreementError, PreconditionError, RingMismatchError
 from .groebner import Ideal, reduced_groebner
 from .jets import (
+    CellTable,
     ContactClause,
     _lambda_rows,
     _pure_jacobian,
     check_point_on,
-    contact_cell_dim,
     contact_cell_walk,
     jacobian_of,
 )
@@ -304,16 +304,21 @@ def lct_hat_bound(a, M, on=None, e_max=3, budget=None):
     if on is None:
         N = a.ring.ngens
         smooth = ContactClause(jac, ">=", 1)
+        table = CellTable(None, M - 1, ((a, M - 1), (jac, 0)), budget)
         for m in range(1, M + 1):
             cell = (ContactClause(a, ">=", m), smooth)
-            codim = N * m - max(m * n, contact_cell_dim(cell, m - 1, m - 1, budget=budget))
+            codim = N * m - max(m * n, table.cell(cell, m - 1, m - 1))
             rows.append(ThresholdRow(m, codim, Fraction(codim, m), ()))
     else:
+        # the cell (M, e_max) is the deepest; the tails read less
+        deepest = max(M - 1, e_max) + e_max
+        table = CellTable(None, deepest, ((V, deepest), (jac, e_max), (a, M - 1)), budget)
+
         def cell(m, e):
             s = max(m - 1, e)
             clauses = (ContactClause(V, ">=", s + e + 1), ContactClause(jac, "==", e),
                        ContactClause(a, ">=", m))
-            return contact_cell_dim(clauses, s + e, s, budget=budget)
+            return table.cell(clauses, s + e, s)
 
         walk = contact_cell_walk(cell)
         for m in range(1, M + 1):
@@ -327,7 +332,7 @@ def lct_hat_bound(a, M, on=None, e_max=3, budget=None):
                 L = max(m - 1, e_max)
                 tail = (ContactClause(V, ">=", L + 1), ContactClause(jac, ">=", e_max + 1),
                         ContactClause(a, ">=", m))
-                if contact_cell_dim(tail, L, L, budget=budget) >= 0:
+                if table.cell(tail, L, L) >= 0:
                     note = f"liftable contact lies beyond e_max={e_max}"
                 else:
                     note = "no liftable contact found"
@@ -371,6 +376,10 @@ def mld_hat_bound(ring, clauses, center, M, budget=None):
             raise PreconditionError("weights must be positive")
         weighted.append((ideal_i, w))
     N = ring.ngens
+    # row (M, ..., M) is the deepest, at level M - 1
+    deepest = max(M - 1, 0)
+    reads = [(center, 0)] + [(ideal_i, M - 1) for ideal_i, _ in weighted]
+    table = CellTable(None, deepest, reads, budget)
     rows = []
     for indices in product(range(M + 1), repeat=len(weighted)):
         p = max([m - 1 for m in indices if m >= 1], default=0)
@@ -378,7 +387,7 @@ def mld_hat_bound(ring, clauses, center, M, budget=None):
         for (ideal_i, _), m in zip(weighted, indices):
             if m >= 1:
                 contact.append(ContactClause(ideal_i, ">=", m))
-        dim = contact_cell_dim(contact, p, p, budget=budget)
+        dim = table.cell(contact, p, p)
         if dim < 0:
             rows.append(MldRow(indices, None, None, "empty contact locus"))
             continue

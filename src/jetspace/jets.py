@@ -1,19 +1,23 @@
 """Jet rings, truncated arc expansion, contact loci, and the dimensions
-of their images: contact_cell_dim, the one measurement under every table.
+of their images: CellTable.cell, the one measurement under every table.
 
 A level-m jet ring adjoins variables name__j for every base variable and
 every level 0 <= j <= m, in level-major order, so the level-p subring is
 a prefix of the level-m ring.
 
-Contact clauses expand as integer arc series of packed monomials into a
-layout their caller picks (_realize).  A series holds its nonzero terms
-only, each tagged with its t-order (_arc_series), so expanding costs in
-proportion to the terms kept.  A cell never builds the Ring of jet
-variable names, which JetRing makes on first read: it expands straight
-into _cell_layout, the packing that groebner.elimination_dimension
-reads, and its pieces share one memo of order keys.  The Polynomial
-views t_expand, contact_ideal and jet_ideal expand into _view_layout,
-the jet ring's own order, and unpack.
+Contact clauses expand as integer arc series of packed monomials.  A
+series holds its nonzero terms only, each tagged with its t-order
+(_arc_series), so expanding costs in proportion to the terms kept.
+Contact cells come in tables (CellTable): a lambda table with its tails,
+an lct or mld window, or a lone contact_cell_dim call, a table of one.
+A table packs every cell into one layout (_cell_layout) and expands each
+clause ideal once, to the first coefficient a cell reads, and once more
+to the deepest when a later cell reads deeper; each cell reads its
+coefficients from there and keys the shared packing by its own order.
+Its cells never build the Ring of jet variable names, which JetRing
+makes on first read, and the cells of one order share one memo of
+order keys.  The Polynomial views t_expand, contact_ideal and jet_ideal
+expand into _view_layout, the jet ring's own order, and unpack.
 
 Budget discipline: all Groebner work is routed through the budget handed
 in by the caller; this module adds no caps of its own.
@@ -26,7 +30,7 @@ from itertools import combinations
 from math import lcm
 
 from .errors import AgreementError, BudgetExhausted, PreconditionError, RingMismatchError
-from .groebner import Ideal, elimination_dimension, elimination_packing
+from .groebner import Ideal, block_order, elimination_dimension, elimination_packing
 from .poly import Polynomial, Ring
 
 
@@ -129,58 +133,77 @@ def _arc_series(polys, m, places, scale):
     return out
 
 
-# A cell's equations in its layout (see _cell_layout): packed series on
-# the common coefficient `scale`, the first k variables eliminated, the
-# arc grading its pairs are selected by, and the order keys its pieces
-# share (elimination_dimension's `keys`).
-PackedCell = namedtuple("PackedCell", "mono k closed scale grading keys")
+# A cell's equations for groebner.elimination_dimension: packed series on
+# its table's common coefficient `scale`, in the table's packing keyed by
+# the cell's order (`mono`, with the mask of its `eliminated` fields), the
+# arc grading its pairs are selected by, and the order keys that the
+# cells of one order share (elimination_dimension's `keys`).
+PackedCell = namedtuple("PackedCell", "mono eliminated closed scale grading keys")
 
 
-def _cell_layout(jr, image_level, lowest, degree, budget):
-    """(places, mono, k, grading) of a cell of `jr` imaged at `image_level`.
+def _cell_layout(base, lowest, deepest, degree, budget):
+    """(places, mono, grading) of a table of cells over the ring `base`:
+    the one packing that every cell of a CellTable shares.
 
-    places[i][j] is x_i__j as a packed unit monomial of `mono`, None below
-    `lowest`, the lowest level an arc may use: 0 for a free base point,
-    1 through a point (level 0 is the point), image_level + 1 on the
-    vertex fiber of contact_cell_dim, where no image level is left.
-    The variables are w (for saturation), the levels above the image
-    level (eliminated, k variables in all) from the lowest up, then the
-    image levels from the top down, so `lowest` comes last.  The t^e
-    coefficient of f on an arc (e >= 1) is sum_i (d f/d x_i)(x__0) *
-    x_i__e plus terms in the levels below e: it is linear in its top
-    level.  Grevlex ranks its last variable cheapest, so with the lowest
-    level last the leads fall on the high levels, where the system is
-    triangular, and not on powers of the low ones; level 0 first costs
-    the jet-scheme cells of lct rows 1.5-2.3 times the S-pairs and up to
-    ten times the time.  The eliminated block keeps its levels
-    ascending: top down there costs the surface probe cells of
-    check-main 5 % more normal forms, and with pure powers set to 0
-    before the basis run (groebner.elimination_dimension) it no longer
-    speeds the E6 cell (m, e) = (2, 8) of lambda, 0.26 s either way.
-
-    The grading weighs x_i__j by j and w by 0: the t^e coefficient is
-    weighted-homogeneous of degree e, and the cell's bases select their
+    The fields are w (for saturation), then x_i__j level-major from
+    `lowest` up to `deepest`: lowest is 0 for a free base point and 1
+    through a point, where level 0 is the point.  places[i][j] is x_i__j
+    as a packed unit monomial of `mono`, None below `lowest`.  The
+    grading weighs x_i__j by j and w by 0: the t^e coefficient is
+    weighted-homogeneous of degree e, and the cells' bases select their
     pairs by sugar in it.
+
+    Each cell keys this packing by its own Block(k) grevlex order
+    (_cell_order), on the variables w, the levels above its image level
+    (eliminated, k variables in all) from the lowest up, then the image
+    levels from the top down, to the image level + 1 on the vertex fiber
+    of contact_cell_dim and to `lowest` elsewhere.  The order reaches the
+    kernel as a weight per field, so every key, pair and basis is the one
+    of a packing of the cell's variables alone, in that sequence; only
+    the bit positions moved.  The reasons for that sequence, measured
+    when each cell had a packing of its own: the t^e coefficient of f on
+    an arc (e >= 1) is sum_i (d f/d x_i)(x__0) * x_i__e plus terms in the
+    levels below e, so it is linear in its top level.  Grevlex ranks its
+    last variable cheapest, so with the lowest level last the leads fall
+    on the high levels, where the system is triangular, and not on
+    powers of the low ones; level 0 first costs the jet-scheme cells of
+    lct rows 1.5-2.3 times the S-pairs and up to ten times the time.  The
+    eliminated block keeps its levels ascending: top down there costs the
+    surface probe cells of check-main 5 % more normal forms, and with
+    pure powers set to 0 before the basis run
+    (groebner.elimination_dimension) it no longer speeds the E6 cell
+    (m, e) = (2, 8) of lambda, 0.26 s either way.
     """
-    if not 0 <= image_level <= jr.level:
-        raise PreconditionError("image level outside the jet ring's range")
-    n = jr.base.ngens
-    k = 1 + n * (jr.level - image_level)
-    mono = elimination_packing(1 + n * (jr.level + 1 - lowest), k, degree, budget)
-    levels = [*range(image_level + 1, jr.level + 1), *range(image_level, lowest - 1, -1)]
-    places = [[None] * (jr.level + 1) for _ in range(n)]
+    n = base.ngens
+    mono = elimination_packing(1 + n * (deepest + 1 - lowest), degree, budget)
     degree_bit = 1 << mono.degree_offset
     offsets = iter(mono.offsets[1:])
-    for j in levels:
+    places = [[None] * (deepest + 1) for _ in range(n)]
+    for j in range(lowest, deepest + 1):
         for row in places:
             row[j] = 1 << next(offsets) | degree_bit
-    return places, mono, k, (0,) + tuple(j for j in levels for _ in range(n))
+    return places, mono, (0,) + tuple(j for j in range(lowest, deepest + 1) for _ in range(n))
+
+
+def _cell_order(mono, n, lowest, level, image_level, vertex, degree, budget):
+    """(mono, eliminated, drop) of a cell of a _cell_layout table, keyed
+    by its Block(k) grevlex order; `drop` is the mask of the image-level
+    fields that the vertex fiber sets to 0 (0 elsewhere)."""
+    cell_lowest = image_level + 1 if vertex else lowest
+    levels = [*range(image_level + 1, level + 1), *range(image_level, cell_lowest - 1, -1)]
+    fields = [0] + [1 + (j - lowest) * n + i for j in levels for i in range(n)]
+    mono, eliminated = block_order(mono, fields, 1 + n * (level - image_level), degree, budget)
+    drop = 0
+    if vertex:
+        width = n * (image_level + 1 - lowest) * mono.width
+        drop = ((1 << width) - 1) << mono.offsets[1]
+    return mono, eliminated, drop
 
 
 def _view_layout(jr, lowest, degree):
     """(places, mono) of the Polynomial views: every variable of `jr` in
     its own level-major order, places as in _cell_layout."""
-    mono = elimination_packing(jr.ring.ngens, 0, degree)
+    mono = elimination_packing(jr.ring.ngens, degree)
     unit = [1 << o for o in mono.offsets]
     places = tuple(
         tuple(unit[jr.index(i, j)] if j >= lowest else None for j in range(jr.level + 1))
@@ -256,18 +279,10 @@ class ContactClause(namedtuple("ContactClause", "ideal relation order")):
         return super().__new__(cls, ideal, relation, order)
 
 
-def _realize(clauses, m, point, layout):
-    """(jet ring, layout, scale, closed, excluded) of contact clauses at
-    jet level m.
-
-    `layout(jet ring, lowest level, degree)` returns a layout whose first
-    entry is `places`, as in _cell_layout; the clause generators expand
-    into it as packed arc series on their common denominator `scale`.
-    `closed` lists the nonzero coefficients the closed conditions set to
-    0, and `excluded` the t^e coefficients of the "==" clause's
-    generators.  With `point`, the clause ideals are translated so the
-    point sits at the origin, and `layout` is asked for arcs from level 1
-    (contact_cell_dim's may start them higher)."""
+def _check_clauses(clauses, m, point):
+    """The ring of contact clauses at jet level m, once they are checked:
+    one ring, every order realizable at level m, at most one "==" clause,
+    and a point of the ring's arity."""
     if not clauses:
         raise PreconditionError("empty contact clause list")
     base = clauses[0].ideal.ring
@@ -285,25 +300,40 @@ def _realize(clauses, m, point, layout):
             eq_seen = True
     if point is not None and len(point) != base.ngens:
         raise PreconditionError("point arity does not match ring")
+    return base
+
+
+def _top(clause):
+    """The last arc coefficient a clause reads: t^order ("=="), or
+    t^(order-1) (">=")."""
+    return clause.order - (clause.relation == ">=")
+
+
+def _realize(clauses, m, point):
+    """(jet ring, mono, scale, closed, excluded) of contact clauses at jet
+    level m, in _view_layout: the clause generators expand as packed arc
+    series on their common denominator `scale`.  `closed` lists the
+    nonzero coefficients the closed conditions set to 0, and `excluded`
+    the t^e coefficients of the "==" clause's generators.  With `point`,
+    the clause ideals are translated so the point sits at the origin, and
+    the arcs start at level 1."""
+    base = _check_clauses(clauses, m, point)
     jr = JetRing(base, m)
-    # with a saturator 1 - w*g one degree above its generators
-    degree = 1 + max(g.degree() for clause in clauses for g in clause.ideal.gens)
-    lay = layout(jr, int(point is not None), degree)
+    degree = max(g.degree() for clause in clauses for g in clause.ideal.gens)
+    places, mono = _view_layout(jr, int(point is not None), degree)
     moved = point is not None and not _is_origin(point)
     gens = [c.ideal.translate(point).gens if moved else c.ideal.gens for c in clauses]
     scale = lcm(*(c.denominator for polys in gens for g in polys for c in g.terms.values()))
     closed = []
     excluded = []
     for clause, polys in zip(clauses, gens):
-        # a clause reads t^0..t^order ("=="), or t^0..t^(order-1) (">=")
-        top = clause.order - (clause.relation == ">=")
-        if top < 0:
+        if _top(clause) < 0:
             continue
-        for coeffs in _arc_series(polys, top, lay[0], scale):
+        for coeffs in _arc_series(polys, _top(clause), places, scale):
             closed.extend(c for c in coeffs[: clause.order] if c)
             if clause.relation == "==":
                 excluded.append(coeffs[clause.order])
-    return jr, lay, scale, closed, excluded
+    return jr, mono, scale, closed, excluded
 
 
 def contact_ideal(clauses, m, point=None):
@@ -316,7 +346,7 @@ def contact_ideal(clauses, m, point=None):
     When `point` is given all clause ideals are first translated so the
     point sits at the origin, and the level-0 variables are pinned to 0.
     """
-    jr, (_, mono), scale, closed, excluded = _realize(clauses, m, point, _view_layout)
+    jr, mono, scale, closed, excluded = _realize(clauses, m, point)
     closed = _jet_polys(jr, mono, closed, scale)
     if point is not None:
         closed.extend(jr.ring.var(i) for i in jr.level_indices(0))
@@ -367,11 +397,11 @@ def image_dimension(cell, jet_ring, image_level, saturator=None, budget=None):
     when empty.  `jet_ring` and `image_level` name the cell, whose
     layout already holds them.
     """
-    mono, k, gens, scale, grading, keys = cell
+    mono, eliminated, gens, scale, grading, keys = cell
     if saturator is not None and saturator.keys() != {0}:  # a constant one removes nothing
         w = 1 << mono.offsets[0] | 1 << mono.degree_offset
         gens = gens + [{0: scale, **{mm + w: -c for mm, c in saturator.items()}}]
-    return elimination_dimension(gens, mono, k, budget, grading, keys)
+    return elimination_dimension(gens, mono, eliminated, budget, grading, keys)
 
 
 def _is_origin(point):
@@ -380,33 +410,140 @@ def _is_origin(point):
     return all(isinstance(c, (int, Fraction)) and not c for c in point)
 
 
-def check_point_on(I, point):
-    """Raise PreconditionError unless every generator of I vanishes at `point`.
-
-    At the origin a generator vanishes exactly when it has no constant term.
-    """
+def _vanishes(I, point):
+    """Whether every generator of I vanishes at `point`; at the origin a
+    generator vanishes exactly when it has no constant term."""
     n = I.ring.ngens
     if len(point) == n and _is_origin(point):
-        nonzero = any((0,) * n in g.terms for g in I.gens)
-    else:
-        nonzero = any(g.evaluate(point) != 0 for g in I.gens)
-    if nonzero:
+        return all((0,) * n not in g.terms for g in I.gens)
+    return all(g.evaluate(point) == 0 for g in I.gens)
+
+
+def check_point_on(I, point):
+    """Raise PreconditionError unless every generator of I vanishes at `point`."""
+    if not _vanishes(I, point):
         raise PreconditionError("point does not lie on the variety")
+
+
+class CellTable:
+    """The cells of one table, through `point` (None for a free base
+    point) at jet levels up to `deepest`: one packing (_cell_layout) and
+    one arc expansion per clause ideal, which every cell reads.
+
+    `reads` pairs each clause ideal a cell may use with the last arc
+    coefficient any cell reads of it.  Nothing is built until a cell
+    needs it.  The first cell that expands a clause translates every
+    ideal to the point, takes the one scale of the table, the lcm of
+    their denominators, and builds the packing.  An ideal is expanded to
+    the coefficient its first cell reads, and once more to its last one
+    when a later cell reads deeper.  One scale serves every cell: scaling
+    every polynomial of a basis run by one positive factor leaves its
+    processing order, its pairs and its primitive elements as they were.
+    """
+
+    def __init__(self, point, deepest, reads, budget=None):
+        self.point = point
+        self.deepest = deepest
+        self.budget = budget
+        self.reads = {}
+        for ideal, top in reads:
+            self.reads[ideal] = max(top, self.reads.get(ideal, top))
+        self._layout = None
+        self._series = {}
+        self._orders = {}
+
+    def _prepare(self):
+        point = self.point
+        moved = point is not None and not _is_origin(point)
+        self._gens = {I: I.translate(point).gens if moved else I.gens for I in self.reads}
+        self._degree = {I: max((g.degree() for g in I.gens), default=0) for I in self.reads}
+        self.scale = lcm(
+            *(c.denominator for gens in self._gens.values() for g in gens for c in g.terms.values())
+        )
+        self.lowest = int(point is not None)
+        base = next(iter(self.reads)).ring
+        degree = 1 + max(self._degree.values())  # with a saturator 1 - w*g
+        self._layout = _cell_layout(base, self.lowest, self.deepest, degree, self.budget)
+
+    def _expand(self, ideal, top):
+        """The arc series of `ideal`'s generators, to t^top at least."""
+        got = self._series.get(ideal)
+        if got is None or got[0] < top:
+            depth = top if got is None else max(top, self.reads[ideal])
+            series = _arc_series(self._gens[ideal], depth, self._layout[0], self.scale)
+            got = self._series[ideal] = (depth, series)
+        return got[1]
+
+    def cell(self, clauses, level, image_level, bound=None):
+        """contact_cell_dim of `clauses` at `level`, imaged at
+        `image_level`, through the table's point under its budget."""
+        point = self.point
+        base = _check_clauses(clauses, level, point)
+        jr = JetRing(base, level)
+        if not 0 <= image_level <= level:
+            raise PreconditionError("image level outside the jet ring's range")
+        if level > self.deepest:
+            raise PreconditionError(f"cell level {level} lies past its table's {self.deepest}")
+        if point is not None:
+            for clause in clauses:
+                # every arc through a point where the ideal vanishes has
+                # contact at least 1 with it
+                if clause.relation == "==" and not clause.order and _vanishes(clause.ideal, point):
+                    return -1
+        if self._layout is None:
+            self._prepare()
+        vertex = point is not None and bound is not None and bound <= 0
+        degree = 1 + max(self._degree[c.ideal] for c in clauses)
+        key = (level, image_level, vertex, degree)
+        order = self._orders.get(key)
+        if order is None:
+            mono = self._layout[1]
+            made = _cell_order(mono, base.ngens, self.lowest, *key, self.budget)
+            order = self._orders[key] = (*made, {})
+        mono, eliminated, drop, keys = order
+        closed = []
+        excluded = []
+        for clause in clauses:
+            if _top(clause) < 0:
+                continue
+            for coeffs in self._expand(clause.ideal, _top(clause)):
+                if drop:
+                    coeffs = [
+                        {mm: c for mm, c in d.items() if not mm & drop}
+                        for d in coeffs[: _top(clause) + 1]
+                    ]
+                closed.extend(c for c in coeffs[: clause.order] if c)
+                if clause.relation == "==":
+                    excluded.append(coeffs[clause.order])
+        cell = PackedCell(mono, eliminated, closed, self.scale, self._layout[2], keys)
+        if not excluded:
+            return image_dimension(cell, jr, image_level, None, self.budget)
+        gs = [g for g in excluded if g]
+        best = -1
+        for i, g in enumerate(gs):
+            piece = cell._replace(closed=cell.closed + gs[:i])
+            best = max(best, image_dimension(piece, jr, image_level, g, self.budget))
+            if bound is not None and best >= bound:
+                break
+        return best
 
 
 def contact_cell_dim(clauses, level, image_level, point=None, budget=None, bound=None):
     """Dimension of the level-`image_level` image of the locus that the
     contact `clauses` cut out at jet level `level` (through `point` when
-    given); -1 when it is empty.
+    given); -1 when it is empty.  A lone call is a CellTable of one cell;
+    the tables of lambda_sequence, check-main, lct_hat_bound and
+    mld_hat_bound call CellTable.cell, which computes the same value.
 
     With an "==" clause, deeper contact is removed in disjoint pieces:
     V minus V(g_1..g_r), for the nonzero excluded coefficients g_i, is
     the union of the (V cut by g_1..g_{i-1}) minus V(g_i), so piece i adds
     the earlier g's as closed generators and saturates by g_i.  The
     closure of a finite union is the union of the closures, so the
-    largest piece image counts (-1 when all g are zero).  The image is
-    truncated by elimination; emptiness is monotone in the level (see
-    contact_cell_walk).
+    largest piece image counts (-1 when all g are zero, as for an order-0
+    "==" clause whose ideal vanishes at `point`, which is decided before
+    any expansion).  The image is truncated by elimination; emptiness is
+    monotone in the level (see contact_cell_walk).
 
     `bound`, when given, must be a proven upper bound on the cell's
     dimension.  The pieces then stop at the first one whose image
@@ -416,7 +553,8 @@ def contact_cell_dim(clauses, level, image_level, point=None, budget=None, bound
 
     Vertex fiber.  Through `point`, a bound of at most 0 computes the
     cell on {x__1 = ... = x__m = 0}, m = image_level: the arcs start at
-    t^(m+1), and every level left is eliminated.  With the point at the
+    t^(m+1), and every level left is eliminated; the cell drops every
+    term of its expansion in the levels 1..m.  With the point at the
     origin, the t^k coefficient of an arc expansion is
     weighted-homogeneous of degree k when x_i__j weighs j, so t -> c*t,
     which maps x_i__j to c^j * x_i__j and w to c^(-e) * w, maps every
@@ -428,31 +566,18 @@ def contact_cell_dim(clauses, level, image_level, point=None, budget=None, bound
     the stop rule above stays exact.  Without a point the arcs are not
     stable under t -> c*t, and the full layout is kept.
     """
-    vertex = point is not None and bound is not None and bound <= 0
-
-    def layout(jr, lowest, degree):
-        return _cell_layout(jr, image_level, image_level + 1 if vertex else lowest, degree, budget)
-
-    jr, (_, mono, k, grading), scale, closed, excluded = _realize(clauses, level, point, layout)
-    cell = PackedCell(mono, k, closed, scale, grading, {})
-    if not excluded:
-        return image_dimension(cell, jr, image_level, None, budget)
-    gs = [g for g in excluded if g]
-    best = -1
-    for i, g in enumerate(gs):
-        piece = cell._replace(closed=cell.closed + gs[:i])
-        best = max(best, image_dimension(piece, jr, image_level, g, budget))
-        if bound is not None and best >= bound:
-            break
-    return best
+    reads = [(c.ideal, _top(c)) for c in clauses]
+    return CellTable(point, level, reads, budget).cell(clauses, level, image_level, bound)
 
 
-def liftable_image_dim(I, point, m, e, jacobian=None, budget=None, bound=None):
+def liftable_image_dim(I, point, m, e, jacobian=None, budget=None, bound=None, table=None):
     """Dimension of the level-m image of jets through `point` that lift
     far enough and meet the Jacobian ideal with contact exactly e: the
     cell [I >= L+1, jacobian == e] at level L = max(m, e) + e; -1 when
     empty.  `jacobian` defaults to jacobian_of(I).  `bound` is a proven
-    upper bound on the result, handed to contact_cell_dim.
+    upper bound on the result, handed to contact_cell_dim.  `table`, a
+    CellTable through `point` that reads I and `jacobian`, computes the
+    cell in place of a table of its own.
     """
     if m < 1:
         raise PreconditionError("jet level m must be at least 1")
@@ -462,7 +587,9 @@ def liftable_image_dim(I, point, m, e, jacobian=None, budget=None, bound=None):
     jac = jacobian if jacobian is not None else jacobian_of(I, budget)
     L = max(m, e) + e
     clauses = [ContactClause(I, ">=", L + 1), ContactClause(jac, "==", e)]
-    return contact_cell_dim(clauses, L, m, point=point, budget=budget, bound=bound)
+    if table is None:
+        return contact_cell_dim(clauses, L, m, point=point, budget=budget, bound=bound)
+    return table.cell(clauses, L, m, bound)
 
 
 def contact_cell_walk(cell):
@@ -618,15 +745,21 @@ def _lambda_rows(I, point, n, jac, m_max, e_max, budget):
     with Jacobian ideal `jac`, past every check; singular_dim None, no
     notes."""
 
+    # the probe (m_max, e_max + 1) is the deepest cell; the tails read less
+    deepest = max(m_max, e_max + 1) + e_max + 1
+    table = CellTable(point, deepest, ((I, deepest), (jac, e_max + 1)), budget)
+
     def tail(m):
         """T(m, e_max): the closed tail, the probe cell's upper bound."""
         L = max(m, e_max)
         clauses = [ContactClause(I, ">=", L + 1), ContactClause(jac, ">=", e_max + 1)]
-        return contact_cell_dim(clauses, L, m, point=point, budget=budget)
+        return table.cell(clauses, L, m)
 
     def cell(m, e):
         bound = m * n if e <= e_max else min(m * n, tail(m))
-        return liftable_image_dim(I, point, m, e, jacobian=jac, budget=budget, bound=bound)
+        return liftable_image_dim(
+            I, point, m, e, jacobian=jac, budget=budget, bound=bound, table=table
+        )
 
     walk = contact_cell_walk(cell)
 

@@ -656,3 +656,52 @@ def test_python_dash_m_runs_the_cli(capsys):
         )
         assert proc.returncode == code == expected_code
         assert proc.stdout == out
+
+
+def test_deep_e6_lambda_table_is_pinned(tmp_path, capsys):
+    """The deepest lambda table the tests run: E6 x^3 - y^4 at m_max=3,
+    e_max=8, whose cells reach jet level 16 and whose probes reach 18,
+    all in one table's packing (about 0.45 s).  CI runs it alone under a
+    60 s cap, so a packing that slows the deepest cells fails fast."""
+    src = tmp_path / "e6.jsp"
+    src.write_text("ring x, y\nideal X = x^3 - y^4\npoint 0, 0\ncommand lambda m_max=3 e_max=8\n")
+    code, out = run_cli(capsys, "run", str(src))
+    assert code == 0
+    assert out == (
+        "== jetspace report ==\n"
+        "command: lambda\n"
+        "inputs:\n"
+        "  ring: x, y\n"
+        "  ideal X = -y^4 + x^3\n"
+        "  point: 0, 0\n"
+        "  params: e_max=8 m_max=3\n"
+        "  budget: max_pairs=200000 max_degree=64\n"
+        "result:\n"
+        "  variety dimension n: 1\n"
+        "  singular locus dimension: 0\n"
+        "  row m=1: value=1 converged=true cells=0:-1,1:-1,2:-1,3:-1,4:-1,5:-1,6:-1,7:-1,8:0,9:-1\n"
+        "  row m=2: value=2 converged=true cells=0:-1,1:-1,2:-1,3:-1,4:-1,5:-1,6:-1,7:-1,8:0,9:-1\n"
+        "  row m=3: value=2 converged=true cells=0:-1,1:-1,2:-1,3:-1,4:-1,5:-1,6:-1,7:-1,8:1,9:-1\n"
+        "  stabilized lambda: 2\n"
+        "  mld-hat: 3\n"
+        "  note: singular locus is empty or zero-dimensional: the liftable rows equal the full"
+        " defect (isolated-singularity identification)\n"
+        "data:\n"
+        "  budget_hit = false\n"
+        "  e_max = 8\n"
+        "  lambda = 2\n"
+        "  m_max = 3\n"
+        "  mld_hat = 3\n"
+        "  n = 1\n"
+        "  row.1.cells = 0:-1,1:-1,2:-1,3:-1,4:-1,5:-1,6:-1,7:-1,8:0,9:-1\n"
+        "  row.1.converged = true\n"
+        "  row.1.value = 1\n"
+        "  row.2.cells = 0:-1,1:-1,2:-1,3:-1,4:-1,5:-1,6:-1,7:-1,8:0,9:-1\n"
+        "  row.2.converged = true\n"
+        "  row.2.value = 2\n"
+        "  row.3.cells = 0:-1,1:-1,2:-1,3:-1,4:-1,5:-1,6:-1,7:-1,8:1,9:-1\n"
+        "  row.3.converged = true\n"
+        "  row.3.value = 2\n"
+        "  singular_dim = 0\n"
+        "status: ok\n"
+    )

@@ -14,6 +14,7 @@ from jetspace.errors import BudgetExhausted, PreconditionError
 from jetspace.groebner import (
     Budget,
     Ideal,
+    block_order,
     elimination_dimension,
     elimination_packing,
     gcd_poly,
@@ -309,6 +310,44 @@ def test_dimension_frozen():
     res = ideal(R3, "y - x^2", "z - x^3").krull_dimension()
     assert res.dimension == 1
     assert len(res.independent_set) == 1
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_krull_dimension_of_one_generator_runs_no_basis(monkeypatch, nvars):
+    """Krull's principal ideal theorem: a single nonconstant generator
+    gives N - 1 and the independent set of the basis route, every
+    variable but the first one of the grevlex lead; a constant gives -1.
+    The basis route is the same ideal with its generator twice, so that
+    it reaches the kernel.  A generator over the degree cap still raises
+    reduced_groebner's BudgetExhausted."""
+    import jetspace.groebner as groebner
+
+    ring = Ring(("x", "y", "z", "w")[:nvars])
+    rng = random.Random(30 + nvars)
+    polys = [ring.one() * Fraction(-3, 2)]
+    while len(polys) < 25:
+        f = ring.zero()
+        for _ in range(rng.randint(1, 4)):
+            exps = tuple(rng.randint(0, 3) for _ in range(nvars))
+            f = f + ring.monomial(exps, Fraction(rng.choice((1, -2, 3)), rng.choice((1, 2))))
+        if not f.is_zero():
+            polys.append(f)
+    assert any(f.is_constant() for f in polys) and not all(f.is_constant() for f in polys)
+    expected = [Ideal(ring, (f, 2 * f)).krull_dimension() for f in polys]
+
+    def no_basis(*args, **kwargs):
+        raise AssertionError("a principal ideal reached the kernel")
+
+    monkeypatch.setattr(groebner, "reduced_groebner", no_basis)
+    assert [Ideal(ring, (f,)).krull_dimension() for f in polys] == expected
+    monkeypatch.undo()
+    f = max(polys, key=lambda p: p.degree())
+    tight = Budget(max_degree=f.degree() - 1)
+    with pytest.raises(BudgetExhausted) as basis_route:
+        reduced_groebner([f], GREVLEX, tight)
+    with pytest.raises(BudgetExhausted) as principal:
+        Ideal(ring, (f,)).krull_dimension(tight)
+    assert str(principal.value) == str(basis_route.value)
 
 
 def test_dimension_independent_set_is_independent():
@@ -649,15 +688,40 @@ R4W = Ring(("w", "x", "y", "z"))
 )
 def test_elimination_dimension_sets_pure_powers_to_zero(texts, k):
     """elimination_dimension replaces each pure power c*x^a by x, round
-    after round; the dimension stays the one of the reference route, and
-    the caller's dicts are left as they were."""
+    after round; the dimension stays the one of the reference route, in
+    the prefix form and in the mask form, and the caller's dicts are left
+    as they were."""
     polys = mk(R4W, *texts)
-    mono = elimination_packing(4, k, max(p.degree() for p in polys))
-    packed = [{mono.pack(e): int(c) for e, c in p.terms.items()} for p in polys]
-    before = [dict(p) for p in packed]
     expected = Ideal(R4W, polys).eliminate(k).krull_dimension().dimension
-    assert elimination_dimension(packed, mono, k) == expected
-    assert packed == before
+    for packed, mono, eliminated in _packed_forms(polys, k):
+        before = [dict(p) for p in packed]
+        assert elimination_dimension(packed, mono, eliminated) == expected
+        assert packed == before
+
+
+def _packed_forms(polys, k):
+    """(packed, mono, eliminated) of `polys` in w, x, y, z with the first
+    k eliminated, in two forms.  Prefix: one field per variable, in the
+    ring's order.  Mask: w, x, y, z at fields 5, 2, 6 and 0 of a packing
+    of 8 fields, the other four unused, as in a table's packing.  The
+    order keys of the two forms are equal term for term."""
+    degree = max(p.degree() for p in polys)
+    forms = []
+    for nfields, fields in ((4, (0, 1, 2, 3)), (8, (5, 2, 6, 0))):
+        mono, eliminated = block_order(elimination_packing(nfields, degree), fields, k, degree)
+        exps = [0] * nfields
+        packed = []
+        for p in polys:
+            terms = {}
+            for e, c in p.terms.items():
+                for f, a in zip(fields, e):
+                    exps[f] = a
+                terms[mono.pack(exps)] = int(c)
+            packed.append(terms)
+        forms.append((packed, mono, eliminated))
+    (prefix, short, _), (masked, wide, _) = forms
+    assert [sorted(map(short.key, p)) for p in prefix] == [sorted(map(wide.key, p)) for p in masked]
+    return forms
 
 
 def _packed_system(rng, triangular):
@@ -704,13 +768,12 @@ def test_elimination_dimension_reads_lead_supports_as_masks(monkeypatch, triangu
     for _ in range(40):
         polys = _packed_system(rng, triangular)
         k = rng.randint(0, 2)
-        mono = elimination_packing(4, k, max(p.degree() for p in polys))
-        packed = [{mono.pack(e): int(c) for e, c in p.terms.items()} for p in polys]
         expected = Ideal(R4W, tuple(polys)).eliminate(k).krull_dimension().dimension
-        del searched[:]  # the reference route searches too
-        assert elimination_dimension(packed, mono, k) == expected, (polys, k)
-        assert all(any(len(s) > 1 for s in sups) for sups in searched)
-        searched_here += len(searched)
+        for packed, mono, eliminated in _packed_forms(polys, k):
+            del searched[:]  # the reference route searches too
+            assert elimination_dimension(packed, mono, eliminated) == expected, (polys, k)
+            assert all(any(len(s) > 1 for s in sups) for sups in searched)
+            searched_here += len(searched)
         dims.add(expected)
     assert len(dims) >= 2
     assert (searched_here == 0) == triangular

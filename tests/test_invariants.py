@@ -23,6 +23,7 @@ from jetspace.invariants import (
     tangent_cone,
 )
 from jetspace.jets import (
+    CellTable,
     ContactClause,
     JetRing,
     contact_cell_dim,
@@ -337,13 +338,13 @@ def test_lct_on_singular_ambient_skipped_cells_match_direct_computation():
 
 def test_lct_on_singular_ambient_computes_each_empty_cell_once(monkeypatch):
     calls = []
-    real = invariants.contact_cell_dim
+    real = CellTable.cell
 
-    def counting(clauses, *args, **kwargs):
+    def counting(self, clauses, *args, **kwargs):
         calls.extend(c.order for c in clauses if c.relation == "==")
-        return real(clauses, *args, **kwargs)
+        return real(self, clauses, *args, **kwargs)
 
-    monkeypatch.setattr(invariants, "contact_cell_dim", counting)
+    monkeypatch.setattr(CellTable, "cell", counting)
     table = lct_hat_bound(ideal(R2, "x", "y"), 4, on=ideal(R2, "x^2 - y^3"), e_max=3)
     # row 1 proves e = 0, 1, 2 empty; rows 2 and 3 compute e = 3 alone, and
     # once it is empty at row 3, row 4 computes nothing (16 cells otherwise)

@@ -1,5 +1,7 @@
 """Jet rings, truncated expansion, contact loci, liftable-image dims."""
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -862,12 +864,20 @@ def test_check_main_probe_stops_at_the_tail(monkeypatch):
 
 def _recording_images(monkeypatch):
     """Replace jets.image_dimension by a wrapper that records (jet level,
-    image level, k, variable count) of every packed cell it is handed."""
+    image level, eliminated count, variable count) of every packed cell it
+    is handed.  A cell's variables are the fields its order weighs, of
+    the table's packing, and no term of the cell uses another field; the
+    kept ones are those outside the mask."""
     seen = []
     real = jets.image_dimension
 
     def image(cell, jet_ring, image_level, *args, **kwargs):
-        seen.append((jet_ring.level, image_level, cell.k, len(cell.mono.offsets)))
+        mono = cell.mono
+        fields = [o for o, w in zip(mono.offsets, mono.weights) if w]
+        outside = mono.var_values & ~sum(mono.field << o for o in fields)
+        assert not any(m & outside for p in cell.closed for m in p)
+        kept = [o for o in fields if not cell.eliminated >> o & 1]
+        seen.append((jet_ring.level, image_level, len(fields) - len(kept), len(fields)))
         return real(cell, jet_ring, image_level, *args, **kwargs)
 
     monkeypatch.setattr(jets, "image_dimension", image)
@@ -915,3 +925,166 @@ def test_check_main_probe_runs_on_the_vertex_fiber(monkeypatch):
     assert report.lambda_report.rows[0].cells == ((0, -1), (1, -1), (2, 1), (3, 0), (4, 0))
     probe = [s for s in seen if s[0] == 8]
     assert probe and all(s == (8, 1, 22, 22) for s in probe)
+
+
+# Tables: every cell of a CellTable reads one packing and one arc expansion
+# per clause ideal, and must equal the same cell computed alone.
+
+# The benchmark's ladder rungs: cusp lambda m_max=5, the lct table of
+# x^3 - y^4 at M=5, and E6 lambda.
+LADDER = (
+    "ring x, y\nideal X = x^2 - y^3\npoint 0, 0\ncommand lambda m_max=5 e_max=3\n",
+    "ring x, y\nideal A = x^3 - y^4\ncommand lct-bound M=5\n",
+    "ring x, y\nideal X = x^3 - y^4\npoint 0, 0\ncommand lambda m_max=3 e_max=4\n",
+)
+
+TABLE_SOURCES = ("lambda tables", "reference cells", "corpus", "ladder")
+
+
+def _reference_tables():
+    """The reference cells, one CellTable per clause ideals and point,
+    each cell in it without a bound and, where that proves it (a value of
+    at most 0 through a point, with an "==" clause), again under bound 0,
+    on the vertex fiber."""
+    groups = {}
+    for _, clauses, level, image_level, point in _reference_cells():
+        key = (point, tuple(dict.fromkeys(c.ideal for c in clauses)))
+        groups.setdefault(key, []).append((clauses, level, image_level))
+    for (point, _), cells in groups.items():
+        reads = [(c.ideal, c.order - (c.relation == ">=")) for cell in cells for c in cell[0]]
+        table = jets.CellTable(point, max(level for _, level, _ in cells), reads)
+        for clauses, level, image_level in cells:
+            value = table.cell(clauses, level, image_level)
+            if point is not None and value <= 0 and any(c.relation == "==" for c in clauses):
+                table.cell(clauses, level, image_level, bound=0)
+
+
+def _run_tables(source, tmp_path):
+    """Run the tables of one source: lambda_sequence on _lambda_tables(),
+    the reference tables, every corpus entry or the ladder rungs."""
+    from jetspace.cli import main
+    from jetspace.corpus import CORPUS
+
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        if source == "lambda tables":
+            for ring, text, point, m_max, e_max in _lambda_tables():
+                lambda_sequence(ideal(ring, text), point, m_max, e_max=e_max)
+        elif source == "reference cells":
+            _reference_tables()
+        elif source == "corpus":
+            for name in sorted(CORPUS):
+                main(["corpus", name])
+        else:
+            for i, text in enumerate(LADDER):
+                path = tmp_path / f"rung{i}.jsp"
+                path.write_text(text)
+                main(["run", str(path)])
+
+
+def _table_cells(monkeypatch, source, tmp_path):
+    """(table, clauses, level, image_level, bound, value) of every cell
+    that a source's tables compute."""
+    seen = []
+    real = jets.CellTable.cell
+
+    def cell(self, clauses, level, image_level, bound=None):
+        value = real(self, clauses, level, image_level, bound)
+        seen.append((self, clauses, level, image_level, bound, value))
+        return value
+
+    monkeypatch.setattr(jets.CellTable, "cell", cell)
+    _run_tables(source, tmp_path)
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("source", TABLE_SOURCES)
+def test_every_table_cell_equals_the_cell_alone(monkeypatch, tmp_path, source):
+    """The cells of a table share its packing, its expansions (each made
+    once to the first coefficient asked and once more to the deepest),
+    its scale and its order keys; each value is still the lone
+    contact_cell_dim call's, under the same bound."""
+    cells = _table_cells(monkeypatch, source, tmp_path)
+    tables = {id(table) for table, *_ in cells}
+    assert len(tables) < len(cells)  # some table holds several cells
+    for table, clauses, level, image_level, bound, value in cells:
+        alone = contact_cell_dim(
+            clauses, level, image_level, point=table.point, budget=table.budget, bound=bound
+        )
+        assert alone == value, (clauses, level, image_level, table.point, bound)
+
+
+@pytest.mark.parametrize("source", TABLE_SOURCES)
+def test_order_zero_cells_through_a_vanishing_point_need_no_expansion(
+    monkeypatch, tmp_path, source
+):
+    """A cell with ord(g) == 0 through a point where every generator of
+    the ideal vanishes is empty: every arc through the point has contact
+    at least 1.  It is -1 before any expansion, as the reference route,
+    which expands every clause, finds."""
+    def vanishing(clause, point):
+        return clause.relation == "==" and clause.order == 0 and all(
+            g.evaluate(point) == 0 for g in clause.ideal.gens
+        )
+
+    cells = [
+        (table.point, clauses, level, image_level)
+        for table, clauses, level, image_level, _, _ in _table_cells(monkeypatch, source, tmp_path)
+        if table.point is not None and any(vanishing(c, table.point) for c in clauses)
+    ]
+    assert cells
+    expanded = []
+    monkeypatch.setattr(jets, "_arc_series", lambda *args: expanded.append(args))
+    for point, clauses, level, image_level in cells:
+        assert contact_cell_dim(clauses, level, image_level, point=point) == -1
+    assert not expanded
+    monkeypatch.undo()
+    for point, clauses, level, image_level in cells:
+        assert _reference_cell_dim(clauses, level, image_level, point) == -1
+
+
+@pytest.mark.parametrize("source", TABLE_SOURCES)
+def test_a_constant_left_by_the_zero_set_pass_ends_before_any_basis(
+    monkeypatch, tmp_path, source
+):
+    """When groebner._zero_set_system leaves a nonzero constant, the cell
+    is empty, and elimination_dimension returns -1 with no basis run.
+    The route without that stop, keys, processing order and
+    _minimal_basis, ends at the same input: its basis is that constant,
+    with no pair selected."""
+    import jetspace.groebner as groebner
+
+    calls = []
+    real = jets.elimination_dimension
+
+    def recording(polys, mono, eliminated, budget=None, grading=None, keys=None):
+        value = real(polys, mono, eliminated, budget, grading, keys)
+        calls.append((polys, mono, grading, value))
+        return value
+
+    runs = []
+    real_basis = groebner._minimal_basis
+
+    def basis(*args, **kwargs):
+        runs.append(args)
+        return real_basis(*args, **kwargs)
+
+    monkeypatch.setattr(jets, "elimination_dimension", recording)
+    monkeypatch.setattr(groebner, "_minimal_basis", basis)
+    _run_tables(source, tmp_path)
+    monkeypatch.undo()
+    constant = [
+        call for call in calls
+        if any(p.keys() == {0} for p in groebner._zero_set_system(call[0], call[1]))
+    ]
+    monos = {id(mono) for _, mono, _, _ in calls}  # held by `calls`, so the ids stay theirs
+    assert constant and sum(id(args[1]) in monos for args in runs) == len(calls) - len(constant)
+    for polys, mono, grading, value in constant:
+        assert value == -1
+        inputs = sorted(
+            (sorted((mono.key(m), m, c) for m, c in p.items())
+             for p in groebner._zero_set_system(polys, mono)),
+            key=groebner._processing_order,
+        )
+        leads = [lm for lm, _, _ in real_basis(inputs, mono, Budget(max_pairs=0), grading)]
+        assert leads == [0]
