@@ -291,6 +291,8 @@ def lct_hat_bound(a, M, on=None, e_max=3, budget=None):
         raise PreconditionError("window M must be at least 1")
     if a.is_zero_ideal():
         raise PreconditionError("threshold of the zero ideal is undefined")
+    if on is not None and on.is_zero_ideal():
+        raise PreconditionError("the ambient variety needs a nonzero ideal, not the zero ideal")
     if a.is_trivial(budget):
         raise PreconditionError("threshold needs a proper ideal")
     V = a if on is None else on

@@ -16,8 +16,11 @@ to the deepest when a later cell reads deeper; each cell reads its
 coefficients from there and keys the shared packing by its own order.
 Its cells never build the Ring of jet variable names, which JetRing
 makes on first read, and the cells of one order share one memo of
-order keys.  The Polynomial views t_expand, contact_ideal and jet_ideal
-expand into _view_layout, the jet ring's own order, and unpack.
+order keys.  The Polynomial views read the same packing: contact_ideal
+and jet_ideal build a CellTable through their point and take its
+coefficients (CellTable.coefficients, which every cell uses too),
+t_expand expands on a _cell_layout packing, and all three unpack
+through _jet_polys.
 
 Budget discipline: all Groebner work is routed through the budget handed
 in by the caller; this module adds no caps of its own.
@@ -143,7 +146,8 @@ PackedCell = namedtuple("PackedCell", "mono eliminated closed scale grading keys
 
 def _cell_layout(base, lowest, deepest, degree, budget):
     """(places, mono, grading) of a table of cells over the ring `base`:
-    the one packing that every cell of a CellTable shares.
+    the one jet packing, which every cell of a CellTable shares and the
+    Polynomial views unpack (_jet_polys).
 
     The fields are w (for saturation), then x_i__j level-major from
     `lowest` up to `deepest`: lowest is 0 for a free base point and 1
@@ -200,22 +204,22 @@ def _cell_order(mono, n, lowest, level, image_level, vertex, degree, budget):
     return mono, eliminated, drop
 
 
-def _view_layout(jr, lowest, degree):
-    """(places, mono) of the Polynomial views: every variable of `jr` in
-    its own level-major order, places as in _cell_layout."""
-    mono = elimination_packing(jr.ring.ngens, degree)
-    unit = [1 << o for o in mono.offsets]
-    places = tuple(
-        tuple(unit[jr.index(i, j)] if j >= lowest else None for j in range(jr.level + 1))
-        for i in range(jr.base.ngens)
-    )
-    return places, mono
-
-
-def _jet_polys(jr, mono, series, scale):
-    """Packed coefficients of _view_layout as Polynomials of the jet ring."""
+def _jet_polys(jr, mono, lowest, series, scale):
+    """Packed coefficients of a _cell_layout packing, on `scale`, as
+    Polynomials of the jet ring `jr`: field 1 + k holds jet variable
+    lowest * n + k.  The variables below `lowest` read field 0, w, which
+    no coefficient holds."""
+    skip = lowest * jr.base.ngens
+    offsets = mono.offsets[:1] * skip + mono.offsets[1 : 1 + jr.ring.ngens - skip]
+    field = mono.field
     return [
-        Polynomial(jr.ring, {mono.unpack(m): Fraction(c, scale) for m, c in acc.items()})
+        Polynomial(
+            jr.ring,
+            {
+                tuple([(mm >> o) & field for o in offsets]): Fraction(c, scale)
+                for mm, c in acc.items()
+            },
+        )
         for acc in series
     ]
 
@@ -231,8 +235,8 @@ def t_expand(p, m):
         raise PreconditionError("truncation level must be non-negative")
     jr = JetRing(p.ring, m)
     den = lcm(*(c.denominator for c in p.terms.values()))
-    places, mono = _view_layout(jr, 0, p.degree())
-    return tuple(_jet_polys(jr, mono, _arc_series([p], m, places, den)[0], den))
+    places, mono, _ = _cell_layout(p.ring, 0, m, p.degree(), None)
+    return tuple(_jet_polys(jr, mono, 0, _arc_series([p], m, places, den)[0], den))
 
 
 def pad_to_jet_ring(poly, jet_ring):
@@ -309,33 +313,6 @@ def _top(clause):
     return clause.order - (clause.relation == ">=")
 
 
-def _realize(clauses, m, point):
-    """(jet ring, mono, scale, closed, excluded) of contact clauses at jet
-    level m, in _view_layout: the clause generators expand as packed arc
-    series on their common denominator `scale`.  `closed` lists the
-    nonzero coefficients the closed conditions set to 0, and `excluded`
-    the t^e coefficients of the "==" clause's generators.  With `point`,
-    the clause ideals are translated so the point sits at the origin, and
-    the arcs start at level 1."""
-    base = _check_clauses(clauses, m, point)
-    jr = JetRing(base, m)
-    degree = max(g.degree() for clause in clauses for g in clause.ideal.gens)
-    places, mono = _view_layout(jr, int(point is not None), degree)
-    moved = point is not None and not _is_origin(point)
-    gens = [c.ideal.translate(point).gens if moved else c.ideal.gens for c in clauses]
-    scale = lcm(*(c.denominator for polys in gens for g in polys for c in g.terms.values()))
-    closed = []
-    excluded = []
-    for clause, polys in zip(clauses, gens):
-        if _top(clause) < 0:
-            continue
-        for coeffs in _arc_series(polys, _top(clause), places, scale):
-            closed.extend(c for c in coeffs[: clause.order] if c)
-            if clause.relation == "==":
-                excluded.append(coeffs[clause.order])
-    return jr, mono, scale, closed, excluded
-
-
 def contact_ideal(clauses, m, point=None):
     """Realize contact clauses at jet level m.
 
@@ -346,11 +323,15 @@ def contact_ideal(clauses, m, point=None):
     When `point` is given all clause ideals are first translated so the
     point sits at the origin, and the level-0 variables are pinned to 0.
     """
-    jr, mono, scale, closed, excluded = _realize(clauses, m, point)
-    closed = _jet_polys(jr, mono, closed, scale)
+    jr = JetRing(_check_clauses(clauses, m, point), m)
+    table = CellTable(point, m, [(c.ideal, _top(c)) for c in clauses])
+    closed, excluded = table.coefficients(clauses)
+    mono = table._layout[1]
+    closed = _jet_polys(jr, mono, table.lowest, closed, table.scale)
     if point is not None:
         closed.extend(jr.ring.var(i) for i in jr.level_indices(0))
-    return JetIdeal(jr, Ideal(jr.ring, tuple(closed))), _jet_polys(jr, mono, excluded, scale)
+    excluded = _jet_polys(jr, mono, table.lowest, excluded, table.scale)
+    return JetIdeal(jr, Ideal(jr.ring, tuple(closed))), excluded
 
 
 def jacobian_ideal(I, c):
@@ -474,6 +455,30 @@ class CellTable:
             got = self._series[ideal] = (depth, series)
         return got[1]
 
+    def coefficients(self, clauses, drop=0):
+        """(closed, excluded) of `clauses`, packed on the table's scale:
+        the nonzero coefficients that the closed conditions set to 0, and
+        the t^order coefficients of the "==" clause's generators.  Terms
+        that meet the field mask `drop` go (a vertex fiber's image
+        levels)."""
+        if self._layout is None:
+            self._prepare()
+        closed = []
+        excluded = []
+        for clause in clauses:
+            top = _top(clause)
+            if top < 0:
+                continue
+            for coeffs in self._expand(clause.ideal, top):
+                if drop:
+                    coeffs = [
+                        {mm: c for mm, c in d.items() if not mm & drop} for d in coeffs[: top + 1]
+                    ]
+                closed.extend(c for c in coeffs[: clause.order] if c)
+                if clause.relation == "==":
+                    excluded.append(coeffs[clause.order])
+        return closed, excluded
+
     def cell(self, clauses, level, image_level, bound=None):
         """contact_cell_dim of `clauses` at `level`, imaged at
         `image_level`, through the table's point under its budget."""
@@ -501,20 +506,7 @@ class CellTable:
             made = _cell_order(mono, base.ngens, self.lowest, *key, self.budget)
             order = self._orders[key] = (*made, {})
         mono, eliminated, drop, keys = order
-        closed = []
-        excluded = []
-        for clause in clauses:
-            if _top(clause) < 0:
-                continue
-            for coeffs in self._expand(clause.ideal, _top(clause)):
-                if drop:
-                    coeffs = [
-                        {mm: c for mm, c in d.items() if not mm & drop}
-                        for d in coeffs[: _top(clause) + 1]
-                    ]
-                closed.extend(c for c in coeffs[: clause.order] if c)
-                if clause.relation == "==":
-                    excluded.append(coeffs[clause.order])
+        closed, excluded = self.coefficients(clauses, drop)
         cell = PackedCell(mono, eliminated, closed, self.scale, self._layout[2], keys)
         if not excluded:
             return image_dimension(cell, jr, image_level, None, self.budget)
@@ -731,7 +723,7 @@ def _pure_jacobian(I, point, n, cone, budget):
     if len(I.gens) > c:  # at most c generators: a complete intersection, unmixed
         for g in jacobian_ideal(I, c + 1).gens:
             rest = I.saturate(g, budget)
-            if all(h.evaluate(point) == 0 for h in rest.gens):
+            if _vanishes(rest, point):
                 raise PreconditionError(
                     f"X is not pure of dimension n = {n} at the point: the {c + 1} x {c + 1} "
                     f"Jacobian minor {g} is not zero on X : ({g})^inf = {rest}, which "

@@ -327,6 +327,17 @@ def test_zero_ideal_is_rejected_by_name(tmp_path, capsys, command, error):
     assert "minors" not in out
 
 
+def test_lct_on_the_zero_ideal_is_rejected_by_name(tmp_path, capsys):
+    """on=X with X = 0 is refused by name, not by the Jacobian's minors."""
+    src = tmp_path / "zero.jsp"
+    src.write_text("ring x, y\nideal X = 0\nideal A = x, y\ncommand lct-bound ideal=A on=X M=2\n")
+    code, out = run_cli(capsys, "run", str(src))
+    assert code == 3
+    assert "status: precondition-error" in out
+    assert "error: the ambient variety needs a nonzero ideal, not the zero ideal\n" in out
+    assert "minors" not in out
+
+
 def test_budget_flag_partial_lambda_report(tmp_path, capsys):
     src = tmp_path / "tight.jsp"
     src.write_text("ring x, y\nideal X = x^2 - y^3\npoint 0, 0\ncommand lambda m_max=2\n")

@@ -299,6 +299,18 @@ def test_lct_computes_each_basis_under_the_callers_budget(monkeypatch):
     assert budgets == [tight]
 
 
+def test_lct_on_the_zero_ideal_is_rejected_before_any_basis(monkeypatch):
+    """on=X with X = 0 is refused by name before any basis is computed,
+    not by jacobian_of's minors."""
+
+    def no_basis(*args, **kwargs):
+        raise AssertionError("a basis was computed")
+
+    monkeypatch.setattr(groebner, "reduced_groebner", no_basis)
+    with pytest.raises(PreconditionError, match="^the ambient variety needs a nonzero ideal"):
+        lct_hat_bound(ideal(R2, "x", "y"), 2, on=Ideal(R2, ()))
+
+
 def test_lct_on_singular_ambient_runs_and_is_deterministic():
     a = ideal(R2, "x", "y")
     X = ideal(R2, "x^2 - y^3")

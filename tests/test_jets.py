@@ -1,6 +1,7 @@
 """Jet rings, truncated expansion, contact loci, liftable-image dims."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -198,11 +199,13 @@ def test_t_expand_multiplicative():
 
 @pytest.mark.parametrize("nvars", [1, 2, 3])
 def test_arc_series_matches_substitution_with_t(nvars):
-    """_arc_series against Polynomial.substitute of x_i -> sum_j x_i__j t^j
-    in a ring that holds t, with no _series_mul: the t^k coefficients for
-    k <= m, at levels 0-6, with the levels below `lowest` set to 0 (lowest
-    0 for a free base point, 1 through a point, m + 1 where no level is
-    left and only the constant term survives)."""
+    """_arc_series on the table packing (_cell_layout) against
+    Polynomial.substitute of x_i -> sum_j x_i__j t^j in a ring that holds
+    t, with no _series_mul: the t^k coefficients for k <= m, at levels
+    0-6, with the levels below `lowest` set to 0 (lowest 0 for a free base
+    point, 1 through a point, m + 1 where no level is left and only the
+    constant term survives).  Field 0 of the packing, w, stays 0, and
+    field 1 + k is jet variable lowest * n + k."""
     rng = random.Random(2700 + nvars)
     ring = Ring(("x", "y", "z")[:nvars])
     for _ in range(30):
@@ -232,10 +235,14 @@ def test_arc_series_matches_substitution_with_t(nvars):
             for exps, c in p.substitute(arc).terms.items():
                 if exps[-1] <= m:
                     expected[exps[-1]][exps[:-1]] = c
-            places, mono = jets._view_layout(jr, lowest, p.degree())
+            places, mono, _ = jets._cell_layout(ring, lowest, m, p.degree(), None)
             (got,) = jets._arc_series([p], m, places, scale)
+            unpacked = [{mono.unpack(mm): Fraction(c, scale) for mm, c in coeff.items()}
+                        for coeff in got]
+            assert all(exps[0] == 0 for coeff in unpacked for exps in coeff)
+            below = (0,) * (lowest * nvars)
             assert [
-                {mono.unpack(mm): Fraction(c, scale) for mm, c in coeff.items()} for coeff in got
+                {below + exps[1:]: c for exps, c in coeff.items()} for coeff in unpacked
             ] == expected, (p, m, lowest)
 
 
@@ -378,28 +385,37 @@ def test_contact_cell_dim_saturation():
                              ContactClause(ideal(R2, "x"), "==", 0)], 0, 0) == -1
 
 
-def test_views_do_not_use_the_cell_layout(monkeypatch):
-    """t_expand, contact_ideal and jet_ideal pack in the jet ring's own
-    order: they give the same polynomials when the cell layout is gone."""
+@pytest.mark.parametrize(
+    "point", [None, (0, 0), (Fraction(1), 1)], ids=["free", "origin", "off-origin"]
+)
+def test_views_are_the_substituted_coefficients(point):
+    """contact_ideal's closed generators and excluded coefficients, read
+    off the table packing, are the t-coefficients that
+    Polynomial.substitute gives (_reference_coefficients), in the same
+    sequence, for >= and == clauses with no point, at the origin and at
+    (1, 1); jet_ideal's generators and t_expand's coefficients are the
+    same construction."""
     X = ideal(R2, "x^2 - y^3")
-    clauses = [ContactClause(X, ">=", 3), ContactClause(ideal(R2, "x", "3/2*y^2 + x"), "==", 1)]
-
-    def views():
-        closed, excluded = contact_ideal(clauses, 2)
-        at, at_excluded = contact_ideal(clauses, 2, point=(Fraction(1), Fraction(1)))
-        return (
-            t_expand(mk(R2, "x^2*y - 3/2*y^3 + x - 2"), 3),
-            closed.ideal.gens, tuple(excluded), at.ideal.gens, tuple(at_excluded),
-            jet_ideal(X, 2).ideal.gens,
-        )
-
-    before = views()
-
-    def no_layout(*args):
-        raise AssertionError("a view reached the cell layout")
-
-    monkeypatch.setattr(jets, "_cell_layout", no_layout)
-    assert views() == before
+    jac = ideal(R2, "x", "3/2*y^2 + x")
+    for clauses, m in [
+        ([ContactClause(X, ">=", 3), ContactClause(jac, "==", 1)], 2),
+        ([ContactClause(X, ">=", 2), ContactClause(jac, "==", 0)], 3),
+        ([ContactClause(ideal(R2, "x*y^2 - 1/3*x + y"), "==", 2)], 4),
+        ([ContactClause(X, ">=", 0), ContactClause(jac, ">=", 2)], 1),
+    ]:
+        jr, closed, excluded = _reference_coefficients(clauses, m, point)
+        got, got_excluded = contact_ideal(clauses, m, point)
+        assert got.jet_ring.ring == jr.ring
+        assert got.ideal.gens == tuple(g for g in closed if not g.is_zero()), (clauses, m)
+        assert got_excluded == excluded, (clauses, m)
+    if point is None:
+        for m in range(4):
+            jr, closed, _ = _reference_coefficients([ContactClause(X, ">=", m + 1)], m)
+            assert jet_ideal(X, m).ideal.gens == tuple(g for g in closed if not g.is_zero())
+        p = mk(R2, "x^2*y - 3/2*y^3 + x - 2")
+        for m in range(5):
+            _, closed, _ = _reference_coefficients([ContactClause(Ideal(R2, (p,)), ">=", m + 1)], m)
+            assert t_expand(p, m) == tuple(closed)
 
 
 def test_liftable_line_smooth_point():
@@ -562,32 +578,41 @@ def test_lambda_cell_above_the_ceiling_raises(monkeypatch):
         lambda_sequence(ideal(R2, "x^2 - y^3"), (0, 0), 1, e_max=3)
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _tracer_targets():
+    """TARGETS of perfbench/tracer.py, loaded from its file; its install()
+    is not called."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py")
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TARGETS
+
+
+@pytest.mark.parametrize(
+    "module, owner, attr", [pytest.param(*t[:3], id=t[3]) for t in _tracer_targets()]
+)
+def test_every_tracer_target_resolves(module, owner, attr):
+    """The benchmark's tracer wraps each of its targets by name: a
+    removal or rename that leaves one unresolved fails here."""
+    obj = importlib.import_module(module)
+    assert callable(getattr(getattr(obj, owner) if owner else obj, attr))
+
+
 def test_benchmark_tracer_sees_the_cells(tmp_path):
     """The benchmark's tracer wraps the cell functions at their module
     bindings; the row walks must keep calling them through those names."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(root, "src")
-    script = (
-        "import importlib, sys\n"
-        "sys.path.insert(0, 'perfbench')\n"
-        "import tracer\n"
-        "for module, owner, attr, _ in tracer.TARGETS:\n"
-        "    obj = importlib.import_module(module)\n"
-        "    getattr(getattr(obj, owner) if owner else obj, attr)\n"
-        "print(len(tracer.TARGETS))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], cwd=root, capture_output=True, text=True,
-        env=env, timeout=60,
-    )
-    assert proc.returncode == 0 and int(proc.stdout) > 0, proc.stderr
+    env["PYTHONPATH"] = os.path.join(ROOT, "src")
 
     def traced(name):
         spec = {"argv": ["corpus", name], "trace": str(tmp_path / f"{name}.jsonl"),
                 "label": name}
         proc = subprocess.run(
-            [sys.executable, os.path.join("perfbench", "child.py")], cwd=root,
+            [sys.executable, os.path.join("perfbench", "child.py")], cwd=ROOT,
             input=json.dumps(spec), capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == 0 and proc.stdout, proc.stderr
@@ -675,19 +700,21 @@ def test_twisted_cubic_rows():
     assert report.mld_hat == 1
 
 
-def _reference_cell_dim(clauses, level, image_level, point=None):
-    """contact_cell_dim the long way round, sharing none of its series or
-    kernel code: arc equations by Polynomial.substitute, the level-0
-    variables pinned by generators, map_variables into the ring (w, the
-    levels above the image level, the image levels), then
-    Ideal.eliminate and krull_dimension."""
+def _reference_coefficients(clauses, level, point=None):
+    """(jet ring, closed, excluded) of contact clauses at jet level
+    `level`, the long way round, sharing none of the series code: arc
+    equations by Polynomial.substitute of x_i -> sum_j x_i__j t^j in a
+    ring that holds t, from level 1 through `point` (level 0 is the point,
+    whose variables are pinned by generators after the clauses).  `closed`
+    keeps the zero coefficients."""
     base = clauses[0].ideal.ring
     jr = JetRing(base, level)
     names = jr.ring.names
     T = Ring(names + ("t",))
     t = T.var(len(names))
+    lowest = int(point is not None)
     arc = {
-        i: sum((T.var(jr.index(i, j)) * t**j for j in range(level + 1)), T.zero())
+        i: sum((T.var(jr.index(i, j)) * t**j for j in range(lowest, level + 1)), T.zero())
         for i in range(base.ngens)
     }
 
@@ -708,7 +735,17 @@ def _reference_cell_dim(clauses, level, image_level, point=None):
                 excluded.append(coeffs[clause.order])
     if point is not None:
         closed.extend(jr.ring.var(i) for i in jr.level_indices(0))
-    prefix = base.ngens * (image_level + 1)
+    return jr, closed, excluded
+
+
+def _reference_cell_dim(clauses, level, image_level, point=None):
+    """contact_cell_dim the long way round, sharing none of its series or
+    kernel code: the arc equations of _reference_coefficients,
+    map_variables into the ring (w, the levels above the image level, the
+    image levels), then Ideal.eliminate and krull_dimension."""
+    jr, closed, excluded = _reference_coefficients(clauses, level, point)
+    names = jr.ring.names
+    prefix = jr.base.ngens * (image_level + 1)
     trailing = len(names) - prefix
     perm = Ring(("w",) + names[prefix:] + names[:prefix])
     index_map = {i: 1 + trailing + i if i < prefix else 1 + i - prefix for i in range(len(names))}
