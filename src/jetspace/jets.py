@@ -604,7 +604,9 @@ def contact_cell_walk(cell):
     level that never drops as m grows and extra clauses that only get
     stronger; then an empty cell (m, e) makes every later (m', e) empty,
     and later rows yield (e, -1) without computing it.  Only a cell that
-    returns -1 marks e dead; one that raises marks nothing.
+    returns -1 marks e dead; one that raises marks nothing.  A cell that
+    `cell` decides by a proof instead (lambda's reparametrized probe,
+    always 0) is never -1, so it marks no order dead.
     """
     dead = set()
 
@@ -658,6 +660,23 @@ def lambda_sequence(I, point, m_max, e_max=3, budget=None):
     probe, inside the row, so a budget it exhausts stops the row.  A
     probe whose tail is at most 0 runs on its vertex fiber, with the
     image levels left out (see contact_cell_dim).
+
+    Reparametrization decides a probe under bound 0 with no basis run
+    (the monoid action t -> t^k on contact loci; Ein, Lazarsfeld and
+    Mustata, Compositio 2004).  Let the row's cell (m, d) be nonempty for
+    some d >= 1 dividing E+1, and k = (E+1)/d.  Take a level-L jet delta
+    of that cell, L = max(m, d) + d: a polynomial arc through the point
+    with ord I >= L+1 and ord jac = d exactly.  Then delta(t^k) is a
+    polynomial arc through the point with ord I >= k(L+1) and
+    ord jac = k*d = E+1 exactly.  Since k*max(m, d) >= max(m, k*d) and
+    k >= 1, k(L+1) = k*max(m, d) + (E+1) + k >= L'+1 for the probe's
+    level L' = max(m, E+1) + E+1.  Its truncation to level L' keeps every
+    coefficient a probe clause reads (t^0..t^L' of I, t^0..t^(E+1) of
+    jac), so it lies in the probe, which is therefore nonempty (only
+    nonemptiness carries over, not the image).  Under a bound of 0 the
+    probe is then exactly 0.  Under a bound below 0 the tail, which holds
+    the probe, is empty, and the nonempty cell contradicts it:
+    AgreementError, as for a cell above m*n.
 
     n is the dimension of V(I), and the rows need V(I) pure of dimension
     n near `point`.  A point where V(I) has smaller local dimension, read
@@ -735,11 +754,16 @@ def _pure_jacobian(I, point, n, cone, budget):
 def _lambda_rows(I, point, n, jac, m_max, e_max, budget):
     """The rows of lambda_sequence for a point on the n-dimensional V(I)
     with Jacobian ideal `jac`, past every check; singular_dim None, no
-    notes."""
+    notes.  A probe under bound 0 with a nonempty divisor cell is 0 by
+    reparametrization (see lambda_sequence), with no cell run; the rule
+    never yields (e, -1), so the walk's dead orders stay those of the
+    cells it computes."""
 
     # the probe (m_max, e_max + 1) is the deepest cell; the tails read less
     deepest = max(m_max, e_max + 1) + e_max + 1
     table = CellTable(point, deepest, ((I, deepest), (jac, e_max + 1)), budget)
+    divisors = [d for d in range(1, e_max + 1) if (e_max + 1) % d == 0]
+    nonempty = set()  # the cells (m, e) computed so far with dimension >= 0
 
     def tail(m):
         """T(m, e_max): the closed tail, the probe cell's upper bound."""
@@ -749,6 +773,15 @@ def _lambda_rows(I, point, n, jac, m_max, e_max, budget):
 
     def cell(m, e):
         bound = m * n if e <= e_max else min(m * n, tail(m))
+        if e > e_max and bound <= 0:
+            d = next((d for d in divisors if (m, d) in nonempty), None)
+            if d is not None:
+                if bound < 0:
+                    raise AgreementError(
+                        f"cell (m={m}, e={d}) is nonempty, so t -> t^{e // d} makes the probe "
+                        f"(m={m}, e={e}) nonempty, but its tail is empty; this signals a bug"
+                    )
+                return 0
         return liftable_image_dim(
             I, point, m, e, jacobian=jac, budget=budget, bound=bound, table=table
         )
@@ -768,6 +801,8 @@ def _lambda_rows(I, point, n, jac, m_max, e_max, budget):
                         "contradicts the fiber-dimension bound and signals a bug"
                     )
                 cells.append((e, d))
+                if d >= 0:
+                    nonempty.add((m, e))
                 gained = e > e_max and d > best
                 best = max(best, d)
                 if best == target:

@@ -35,6 +35,7 @@ from jetspace.poly import Polynomial, Ring, map_variables
 
 
 R2 = Ring(("x", "y"))
+R3 = Ring(("x", "y", "z"))
 R4 = Ring(("x", "y", "z", "w"))
 
 
@@ -518,17 +519,25 @@ def test_lambda_early_stop_keeps_cells_short():
 
 
 @pytest.mark.parametrize(
-    "text, m_max, e_max",
-    [("x^2 - y^3", 4, 3), ("x^3 - y^4", 2, 4)],
-    ids=["cusp", "E6"],
+    "ring, text, m_max, e_max",
+    [
+        (R2, "x^2 - y^3", 4, 3),
+        (R2, "x^3 - y^4", 2, 4),
+        # row 1's probe is decided by reparametrization (bound 0), row 2's
+        # (bound 2, dimension 1) is computed
+        (R3, "x^2 + y^3 + z^3", 2, 3),
+        (R3, "x^2 - y^2*z", 2, 3),
+    ],
+    ids=["cusp", "E6", "D4", "umbrella"],
 )
-def test_lambda_skipped_cells_match_direct_computation(text, m_max, e_max):
-    I = ideal(R2, text)
-    report = lambda_sequence(I, (0, 0), m_max, e_max=e_max)
+def test_lambda_skipped_cells_match_direct_computation(ring, text, m_max, e_max):
+    I = ideal(ring, text)
+    point = (0,) * ring.ngens
+    report = lambda_sequence(I, point, m_max, e_max=e_max)
     for row in report.rows:
         assert row.cells
         for e, d in row.cells:
-            assert liftable_image_dim(I, (0, 0), row.m, e) == d, (row.m, e)
+            assert liftable_image_dim(I, point, row.m, e) == d, (row.m, e)
 
 
 def test_lambda_computes_each_empty_cell_once(monkeypatch):
@@ -690,7 +699,6 @@ def test_lambda_rows_do_not_depend_on_the_presentation(text):
 
 def test_twisted_cubic_rows():
     # smooth, with three generators in codimension two
-    R3 = Ring(("x", "y", "z"))
     cubic = ideal(R3, "x*z - y^2", "y - x^2", "z - x*y")
     assert jacobian_of(cubic).equals(jacobian_ideal(cubic, 2))
     report = lambda_sequence(cubic, (0, 0, 0), 2, e_max=2)
@@ -767,7 +775,6 @@ def _reference_cell_dim(clauses, level, image_level, point=None):
 def _lambda_tables():
     """(ring, text, point, m_max, e_max) of the lambda tables in the
     reference table."""
-    R3 = Ring(("x", "y", "z"))
     return [
         (R2, "x^2 - y^3", (0, 0), 3, 3),
         (R2, "x*y", (0, 0), 3, 2),
@@ -781,7 +788,6 @@ def _lambda_tables():
 
 def _reference_cells():
     """(label, clauses, level, image_level, point) of the reference table."""
-    R3 = Ring(("x", "y", "z"))
     cells = []
     for ring, text, point, m_max, e_max in _lambda_tables():
         X = ideal(ring, text)
@@ -875,9 +881,9 @@ def test_probe_cell_lies_in_the_closed_tail(ring, text, point, m_max, e_max):
 
 def test_check_main_probe_stops_at_the_tail(monkeypatch):
     """check-main on the D4 surface: the tail (dimension 0) costs one
-    cell, and the probe (m, e) = (1, 4) stops after the first of its
-    three pieces, which reaches 0; 9 images in all, against 10 without
-    the bound.  The row and the cell calls are unchanged."""
+    cell, and the probe (m, e) = (1, 4) none: the tail bounds it by 0 and
+    the nonempty cell (1, 2) makes it nonempty by t -> t^2, so it is 0
+    with no basis run.  8 images in all; the row is unchanged."""
     images, cells = [], []
     real_image, real_cell = jets.image_dimension, jets.liftable_image_dim
 
@@ -891,12 +897,11 @@ def test_check_main_probe_stops_at_the_tail(monkeypatch):
 
     monkeypatch.setattr(jets, "image_dimension", image)
     monkeypatch.setattr(jets, "liftable_image_dim", cell)
-    R3 = Ring(("x", "y", "z"))
     report = check_mld_hat_equals_n(ideal(R3, "x^2 + y^3 + z^3"), (0, 0, 0))
     row = report.lambda_report.rows[0]
     assert row.cells == ((0, -1), (1, -1), (2, 1), (3, 0), (4, 0)) and row.converged
-    assert len(images) == 9
-    assert cells == [(1, e) for e in range(5)]
+    assert len(images) == 8
+    assert cells == [(1, e) for e in range(4)]
 
 
 def _recording_images(monkeypatch):
@@ -952,16 +957,117 @@ def test_zero_bound_cell_without_a_point_keeps_its_full_layout(monkeypatch):
 
 
 def test_check_main_probe_runs_on_the_vertex_fiber(monkeypatch):
-    """check-main on the D4 surface: the tail bounds the probe (m, e) =
-    (1, 4) by 0, so the probe at level 8 runs in 1 + 3 * 7 = 22
-    variables, all eliminated, instead of 1 + 3 * 8 = 25; the row is
+    """check-main on the E7 surface x^2 + y^3 + y*z^3: the tail bounds
+    the probe (m, e) = (1, 4) by 0 and no divisor cell (1, 1), (1, 2) is
+    nonempty, so the probe runs, at level 8 in 1 + 3 * 7 = 22 variables,
+    all eliminated, instead of 1 + 3 * 8 = 25.  D4's probe, decided by
+    reparametrization, computes no image at level 8; its row is
     unchanged."""
     seen = _recording_images(monkeypatch)
-    R3 = Ring(("x", "y", "z"))
     report = check_mld_hat_equals_n(ideal(R3, "x^2 + y^3 + z^3"), (0, 0, 0))
     assert report.lambda_report.rows[0].cells == ((0, -1), (1, -1), (2, 1), (3, 0), (4, 0))
+    assert not [s for s in seen if s[0] == 8]
+    report = check_mld_hat_equals_n(ideal(R3, "x^2 + y^3 + y*z^3"), (0, 0, 0))
+    assert report.lambda_report.rows[0].cells == ((0, -1), (1, -1), (2, -1), (3, 1), (4, -1))
     probe = [s for s in seen if s[0] == 8]
     assert probe and all(s == (8, 1, 22, 22) for s in probe)
+
+
+# Reparametrization: t -> t^k maps a jet of cell (m, d) to an arc of
+# contact k*d with the Jacobian ideal, deep enough for cell (m, k*d), so a
+# nonempty (m, d) makes (m, k*d) nonempty.  lambda rows use it to decide a
+# probe under bound 0; these tests check the lemma and the rule on direct
+# cells.
+
+REPARAMETRIZED = (
+    (R2, "x^2 - y^3"),
+    (R2, "x^2 - y^4"),
+    (R2, "x*y"),
+    (R2, "x^3 - y^4"),
+    (R2, "x^2 - y^5"),
+    (R3, "x^2 + y^3 + z^3"),  # D4
+    (R3, "x^2 + y^2 + z^2"),  # A1
+    (R3, "x^2 + y^3 + y*z^3"),  # E7
+    (R3, "x^2 - y^2*z"),  # the umbrella
+)
+
+
+def test_nonempty_cells_stay_nonempty_under_reparametrization():
+    """(m, d) >= 0 implies (m, k*d) >= 0, on direct cells: m and d in
+    {1, 2}, k in {2, 3}, with k*d at most 6 on curves and 4 on
+    surfaces."""
+    implications = 0
+    for ring, text in REPARAMETRIZED:
+        I = ideal(ring, text)
+        point = (0,) * ring.ngens
+        deepest = 6 if ring.ngens == 2 else 4
+        for m in (1, 2):
+            for d in (1, 2):
+                if liftable_image_dim(I, point, m, d) < 0:
+                    continue
+                for k in (2, 3):
+                    if k * d <= deepest:
+                        assert liftable_image_dim(I, point, m, k * d) >= 0, (text, m, d, k)
+                        implications += 1
+    assert implications == 22
+
+
+def _verdicts_shapes():
+    """The 12 surfaces of tests/test_verdicts_golden.py, loaded from its
+    file."""
+    spec = importlib.util.spec_from_file_location(
+        "verdicts_golden", os.path.join(ROOT, "tests", "test_verdicts_golden.py")
+    )
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    return list(golden.GOLDEN)
+
+
+def test_reparametrized_probes_match_direct_computation(monkeypatch):
+    """Every check-main probe (1, 4) that the rule decides, with no cell
+    run, equals the probe computed directly on its own table."""
+    real = jets.liftable_image_dim
+    calls = []
+
+    def cell(I, point, m, e, **kwargs):
+        calls.append((m, e))
+        return real(I, point, m, e, **kwargs)
+
+    monkeypatch.setattr(jets, "liftable_image_dim", cell)
+    decided = []
+    for f in _verdicts_shapes():
+        I = ideal(R3, f)
+        calls.clear()
+        row = check_mld_hat_equals_n(I, (0, 0, 0)).lambda_report.rows[0]
+        probe = dict(row.cells).get(4)
+        if probe is not None and (1, 4) not in calls:
+            assert probe == real(I, (0, 0, 0), 1, 4), f
+            decided.append(f)
+    assert len(decided) == 4
+
+
+def test_reparametrized_probe_under_an_empty_tail_raises(monkeypatch):
+    """A nonempty divisor cell makes the probe nonempty, so a tail of -1,
+    which holds the probe, is a contradiction."""
+    monkeypatch.setattr(jets, "liftable_image_dim", lambda I, point, m, e, **kwargs: min(e, 1) - 1)
+    monkeypatch.setattr(jets.CellTable, "cell", lambda self, *args, **kwargs: -1)
+    with pytest.raises(AgreementError, match=r"cell \(m=1, e=1\) is nonempty, so t -> t\^4"):
+        lambda_sequence(ideal(R2, "x^2 - y^3"), (0, 0), 1, e_max=3)
+
+
+def _substitute_x(f):
+    """f under the coordinate change x -> x + y*z."""
+    return f.replace("x", "(x + y*z)")
+
+
+@pytest.mark.parametrize("f", _verdicts_shapes())
+def test_check_main_is_invariant_under_a_change_of_coordinates(f):
+    """x -> x + y*z fixes the origin and maps contact loci to contact
+    loci, so the jet row's cells, the cone verdict and the verdict stay."""
+    before = check_mld_hat_equals_n(ideal(R3, f), (0, 0, 0))
+    after = check_mld_hat_equals_n(ideal(R3, _substitute_x(f)), (0, 0, 0))
+    assert after.lambda_report.rows == before.lambda_report.rows
+    assert (after.cone_verdict, after.verdict) == (before.cone_verdict, before.verdict)
 
 
 # Tables: every cell of a CellTable reads one packing and one arc expansion
