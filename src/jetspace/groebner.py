@@ -102,6 +102,7 @@ class _Monomials:
     def __init__(self, order, nvars, max_degree):
         width = (2 * max_degree + 1).bit_length() + 1
         guard = 1 << (width - 1)
+        self.max_degree = max_degree
         self.width = width
         self.offsets = tuple(i * width for i in range(nvars))
         self.degree_offset = nvars * width
@@ -560,16 +561,15 @@ def elimination_packing(nvars, degree, budget=None):
     return _monomials(GREVLEX, nvars, max(degree, cap))
 
 
-def block_order(mono, fields, k, degree, budget=None):
+def block_order(mono, fields, k):
     """(packing, eliminated) for elimination_dimension: `mono` keyed by
     Block(k) grevlex on the variables at `fields` (field indices, in that
-    sequence), for terms of `degree` and the cap, and the mask of every
-    field but fields[k:], the kept ones.  The keys are those of a packing
-    of the variables in that sequence alone; fields outside `fields` hold
-    no variable, get weight 0 and count as eliminated."""
-    cap = (budget or DEFAULT_BUDGET).max_degree
+    sequence), for the terms `mono` packs, and the mask of every field
+    but fields[k:], the kept ones.  The keys are those of a packing of
+    the variables in that sequence alone; fields outside `fields` hold no
+    variable, get weight 0 and count as eliminated."""
     weights = [0] * len(mono.offsets)
-    for i, w in zip(fields, Block(k, GREVLEX).weights(len(fields), 2 * max(degree, cap))):
+    for i, w in zip(fields, Block(k, GREVLEX).weights(len(fields), 2 * mono.max_degree)):
         weights[i] = -w  # negated, as in _Monomials
     keyed = object.__new__(_Monomials)
     keyed.__dict__.update(mono.__dict__, weights=tuple(weights))

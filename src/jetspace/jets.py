@@ -160,8 +160,7 @@ def _cell_layout(base, lowest, deepest, degree, budget):
     Each cell keys this packing by its own Block(k) grevlex order
     (_cell_order), on the variables w, the levels above its image level
     (eliminated, k variables in all) from the lowest up, then the image
-    levels from the top down, to the image level + 1 on the vertex fiber
-    of contact_cell_dim and to `lowest` elsewhere.  The order reaches the
+    levels from the top down to `lowest`.  The order reaches the
     kernel as a weight per field, so every key, pair and basis is the one
     of a packing of the cell's variables alone, in that sequence; only
     the bit positions moved.  The reasons for that sequence, measured
@@ -189,19 +188,12 @@ def _cell_layout(base, lowest, deepest, degree, budget):
     return places, mono, (0,) + tuple(j for j in range(lowest, deepest + 1) for _ in range(n))
 
 
-def _cell_order(mono, n, lowest, level, image_level, vertex, degree, budget):
-    """(mono, eliminated, drop) of a cell of a _cell_layout table, keyed
-    by its Block(k) grevlex order; `drop` is the mask of the image-level
-    fields that the vertex fiber sets to 0 (0 elsewhere)."""
-    cell_lowest = image_level + 1 if vertex else lowest
-    levels = [*range(image_level + 1, level + 1), *range(image_level, cell_lowest - 1, -1)]
+def _cell_order(mono, n, lowest, level, image_level):
+    """(mono, eliminated) of a cell of a _cell_layout table, keyed by its
+    Block(k) grevlex order."""
+    levels = [*range(image_level + 1, level + 1), *range(image_level, lowest - 1, -1)]
     fields = [0] + [1 + (j - lowest) * n + i for j in levels for i in range(n)]
-    mono, eliminated = block_order(mono, fields, 1 + n * (level - image_level), degree, budget)
-    drop = 0
-    if vertex:
-        width = n * (image_level + 1 - lowest) * mono.width
-        drop = ((1 << width) - 1) << mono.offsets[1]
-    return mono, eliminated, drop
+    return block_order(mono, fields, 1 + n * (level - image_level))
 
 
 def _jet_polys(jr, mono, lowest, series, scale):
@@ -412,12 +404,11 @@ class CellTable:
     one arc expansion per clause ideal, which every cell reads.
 
     `reads` pairs each clause ideal a cell may use with the last arc
-    coefficient any cell reads of it.  Nothing is built until a cell
-    needs it.  The first cell that expands a clause translates every
-    ideal to the point, takes the one scale of the table, the lcm of
-    their denominators, and builds the packing.  An ideal is expanded to
-    the coefficient its first cell reads, and once more to its last one
-    when a later cell reads deeper.  One scale serves every cell: scaling
+    coefficient any cell reads of it.  The table translates every ideal
+    to the point, takes the one scale of the table, the lcm of their
+    denominators, and builds the packing.  An ideal is expanded to the
+    coefficient its first cell reads, and once more to its last one when
+    a later cell reads deeper.  One scale serves every cell: scaling
     every polynomial of a basis run by one positive factor leaves its
     processing order, its pairs and its primitive elements as they were.
     """
@@ -429,22 +420,18 @@ class CellTable:
         self.reads = {}
         for ideal, top in reads:
             self.reads[ideal] = max(top, self.reads.get(ideal, top))
-        self._layout = None
-        self._series = {}
-        self._orders = {}
-
-    def _prepare(self):
-        point = self.point
         moved = point is not None and not _is_origin(point)
         self._gens = {I: I.translate(point).gens if moved else I.gens for I in self.reads}
-        self._degree = {I: max((g.degree() for g in I.gens), default=0) for I in self.reads}
         self.scale = lcm(
             *(c.denominator for gens in self._gens.values() for g in gens for c in g.terms.values())
         )
         self.lowest = int(point is not None)
         base = next(iter(self.reads)).ring
-        degree = 1 + max(self._degree.values())  # with a saturator 1 - w*g
-        self._layout = _cell_layout(base, self.lowest, self.deepest, degree, self.budget)
+        # with a saturator 1 - w*g
+        degree = 1 + max((g.degree() for I in self.reads for g in I.gens), default=0)
+        self._layout = _cell_layout(base, self.lowest, deepest, degree, budget)
+        self._series = {}
+        self._orders = {}
 
     def _expand(self, ideal, top):
         """The arc series of `ideal`'s generators, to t^top at least."""
@@ -455,14 +442,10 @@ class CellTable:
             got = self._series[ideal] = (depth, series)
         return got[1]
 
-    def coefficients(self, clauses, drop=0):
+    def coefficients(self, clauses):
         """(closed, excluded) of `clauses`, packed on the table's scale:
         the nonzero coefficients that the closed conditions set to 0, and
-        the t^order coefficients of the "==" clause's generators.  Terms
-        that meet the field mask `drop` go (a vertex fiber's image
-        levels)."""
-        if self._layout is None:
-            self._prepare()
+        the t^order coefficients of the "==" clause's generators."""
         closed = []
         excluded = []
         for clause in clauses:
@@ -470,10 +453,6 @@ class CellTable:
             if top < 0:
                 continue
             for coeffs in self._expand(clause.ideal, top):
-                if drop:
-                    coeffs = [
-                        {mm: c for mm, c in d.items() if not mm & drop} for d in coeffs[: top + 1]
-                    ]
                 closed.extend(c for c in coeffs[: clause.order] if c)
                 if clause.relation == "==":
                     excluded.append(coeffs[clause.order])
@@ -495,19 +474,17 @@ class CellTable:
                 # contact at least 1 with it
                 if clause.relation == "==" and not clause.order and _vanishes(clause.ideal, point):
                     return -1
-        if self._layout is None:
-            self._prepare()
-        vertex = point is not None and bound is not None and bound <= 0
-        degree = 1 + max(self._degree[c.ideal] for c in clauses)
-        key = (level, image_level, vertex, degree)
+        places, packing, grading = self._layout
+        key = (level, image_level)
         order = self._orders.get(key)
         if order is None:
-            mono = self._layout[1]
-            made = _cell_order(mono, base.ngens, self.lowest, *key, self.budget)
-            order = self._orders[key] = (*made, {})
-        mono, eliminated, drop, keys = order
-        closed, excluded = self.coefficients(clauses, drop)
-        cell = PackedCell(mono, eliminated, closed, self.scale, self._layout[2], keys)
+            order = self._orders[key] = (*_cell_order(packing, base.ngens, self.lowest, *key), {})
+        mono, eliminated, keys = order
+        closed, excluded = self.coefficients(clauses)
+        if point is not None and bound is not None and bound <= 0:
+            # the vertex fiber: x_i__j = 0 on the image levels 1..m
+            closed += [{row[j]: 1} for j in range(1, image_level + 1) for row in places]
+        cell = PackedCell(mono, eliminated, closed, self.scale, grading, keys)
         if not excluded:
             return image_dimension(cell, jr, image_level, None, self.budget)
         gs = [g for g in excluded if g]
@@ -545,9 +522,11 @@ def contact_cell_dim(clauses, level, image_level, point=None, budget=None, bound
 
     Vertex fiber.  Through `point`, a bound of at most 0 computes the
     cell on {x__1 = ... = x__m = 0}, m = image_level: the arcs start at
-    t^(m+1), and every level left is eliminated; the cell drops every
-    term of its expansion in the levels 1..m.  With the point at the
-    origin, the t^k coefficient of an arc expansion is
+    t^(m+1).  The cell takes the unit equations x_i__j = 0, 1 <= j <= m,
+    as closed generators.  The zero-set pass of elimination_dimension
+    drops every term in those variables before the basis run, and each
+    unit stays to pin its variable, so the image is 0 or -1.  With the
+    point at the origin, the t^k coefficient of an arc expansion is
     weighted-homogeneous of degree k when x_i__j weighs j, so t -> c*t,
     which maps x_i__j to c^j * x_i__j and w to c^(-e) * w, maps every
     piece to itself.  Its level-m image is then a cone for the positive
@@ -556,8 +535,9 @@ def contact_cell_dim(clauses, level, image_level, point=None, budget=None, bound
     cell lies over x__1 = ... = x__m = 0, and it is nonempty exactly when
     its restriction there is.  Each restricted piece lies in the cell, so
     the stop rule above stays exact.  Without a point the arcs are not
-    stable under t -> c*t, and the full layout is kept.
+    stable under t -> c*t, and the cell takes no unit equations.
     """
+    _check_clauses(clauses, level, point)  # before the table translates and packs
     reads = [(c.ideal, _top(c)) for c in clauses]
     return CellTable(point, level, reads, budget).cell(clauses, level, image_level, bound)
 
@@ -659,7 +639,7 @@ def lambda_sequence(I, point, m_max, e_max=3, budget=None):
     lies in the tail's.  The tail is computed only when a row reaches its
     probe, inside the row, so a budget it exhausts stops the row.  A
     probe whose tail is at most 0 runs on its vertex fiber, with the
-    image levels left out (see contact_cell_dim).
+    image levels set to 0 (see contact_cell_dim).
 
     Reparametrization decides a probe under bound 0 with no basis run
     (the monoid action t -> t^k on contact loci; Ein, Lazarsfeld and

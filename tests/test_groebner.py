@@ -708,7 +708,7 @@ def _packed_forms(polys, k):
     degree = max(p.degree() for p in polys)
     forms = []
     for nfields, fields in ((4, (0, 1, 2, 3)), (8, (5, 2, 6, 0))):
-        mono, eliminated = block_order(elimination_packing(nfields, degree), fields, k, degree)
+        mono, eliminated = block_order(elimination_packing(nfields, degree), fields, k)
         exps = [0] * nfields
         packed = []
         for p in polys:

@@ -928,23 +928,46 @@ def _recording_images(monkeypatch):
 
 def test_zero_bound_cells_through_a_point_run_on_the_vertex_fiber(monkeypatch):
     """Every "==" reference cell through a point whose value is at most 0
-    keeps that value under bound 0, computed with every variable
-    eliminated: the image levels are left out of its layout."""
+    keeps that value under bound 0, computed on the vertex fiber: each
+    system handed to the kernel holds the unit x_i__j of every image-level
+    field, 1 <= j <= m, and after the zero-set pass no other term in those
+    fields."""
+    import jetspace.groebner as groebner
+
     cells = [
         cell
         for cell in _reference_cells()
         if cell[4] is not None and any(clause.relation == "==" for clause in cell[1])
     ]
     values = {label: contact_cell_dim(c, level, m, point=p) for label, c, level, m, p in cells}
-    seen = _recording_images(monkeypatch)
+    systems = []
+    real = jets.elimination_dimension
+
+    def recording(polys, mono, *args, **kwargs):
+        systems.append((polys, mono))
+        return real(polys, mono, *args, **kwargs)
+
+    monkeypatch.setattr(jets, "elimination_dimension", recording)
     checked = set()
+    ran = 0  # systems checked; an order-0 cell through the point runs none
     for label, clauses, level, image_level, point in cells:
-        if values[label] <= 0:
-            got = contact_cell_dim(clauses, level, image_level, point=point, bound=0)
-            assert got == values[label], label
-            checked.add(got)
-    assert checked == {-1, 0}
-    assert seen and all(k == nvars for _, _, k, nvars in seen)
+        if values[label] > 0:
+            continue
+        systems.clear()
+        got = contact_cell_dim(clauses, level, image_level, point=point, bound=0)
+        assert got == values[label], label
+        checked.add(got)
+        ran += len(systems)
+        n = clauses[0].ideal.ring.ngens
+        for polys, mono in systems:
+            # the table's fields: w, then x_i__j from level 1 up
+            image = mono.offsets[1 : 1 + n * image_level]
+            units = [{1 << o | 1 << mono.degree_offset: 1} for o in image]
+            assert all(unit in polys for unit in units), label
+            fields = sum(mono.field << o for o in image)
+            rest = [p for p in groebner._zero_set_system(polys, mono) if p not in units]
+            assert not any(m & fields for p in rest for m in p), label
+    assert checked == {-1, 0} and ran
 
 
 def test_zero_bound_cell_without_a_point_keeps_its_full_layout(monkeypatch):
@@ -959,18 +982,30 @@ def test_zero_bound_cell_without_a_point_keeps_its_full_layout(monkeypatch):
 def test_check_main_probe_runs_on_the_vertex_fiber(monkeypatch):
     """check-main on the E7 surface x^2 + y^3 + y*z^3: the tail bounds
     the probe (m, e) = (1, 4) by 0 and no divisor cell (1, 1), (1, 2) is
-    nonempty, so the probe runs, at level 8 in 1 + 3 * 7 = 22 variables,
-    all eliminated, instead of 1 + 3 * 8 = 25.  D4's probe, decided by
-    reparametrization, computes no image at level 8; its row is
-    unchanged."""
+    nonempty, so the probe runs, on its vertex fiber.  D4's probe,
+    decided by reparametrization, computes no image at level 8; its row
+    is unchanged.  Under x -> x - 2y the E7 cone is not a power of a
+    coordinate, and the fiber saves work: check-main there makes 357
+    reductions (962 without the fiber)."""
+    import jetspace.groebner as groebner
+
     seen = _recording_images(monkeypatch)
     report = check_mld_hat_equals_n(ideal(R3, "x^2 + y^3 + z^3"), (0, 0, 0))
     assert report.lambda_report.rows[0].cells == ((0, -1), (1, -1), (2, 1), (3, 0), (4, 0))
     assert not [s for s in seen if s[0] == 8]
     report = check_mld_hat_equals_n(ideal(R3, "x^2 + y^3 + y*z^3"), (0, 0, 0))
     assert report.lambda_report.rows[0].cells == ((0, -1), (1, -1), (2, -1), (3, 1), (4, -1))
-    probe = [s for s in seen if s[0] == 8]
-    assert probe and all(s == (8, 1, 22, 22) for s in probe)
+    steps = []
+    real = groebner._subtract
+
+    def subtract(*args):
+        steps.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "_subtract", subtract)
+    report = check_mld_hat_equals_n(ideal(R3, "(x - 2*y)^2 + y^3 + y*z^3"), (0, 0, 0))
+    assert report.lambda_report.rows[0].cells == ((0, -1), (1, -1), (2, -1), (3, 1), (4, -1))
+    assert len(steps) == 357
 
 
 # Reparametrization: t -> t^k maps a jet of cell (m, d) to an arc of
@@ -1055,17 +1090,27 @@ def test_reparametrized_probe_under_an_empty_tail_raises(monkeypatch):
         lambda_sequence(ideal(R2, "x^2 - y^3"), (0, 0), 1, e_max=3)
 
 
-def _substitute_x(f):
-    """f under the coordinate change x -> x + y*z."""
-    return f.replace("x", "(x + y*z)")
+# Coordinate changes that fix the origin, each as the image of x with the
+# suffix of its test ids.  Under the linear x -> x - 2y the cones of the
+# False shapes are no longer powers of a coordinate, and there the
+# probe's vertex fiber saves work.
+COORDINATE_CHANGES = (("x + y*z", ""), ("x - 2*y", " under x -> x - 2*y"))
 
 
-@pytest.mark.parametrize("f", _verdicts_shapes())
-def test_check_main_is_invariant_under_a_change_of_coordinates(f):
-    """x -> x + y*z fixes the origin and maps contact loci to contact
-    loci, so the jet row's cells, the cone verdict and the verdict stay."""
+@pytest.mark.parametrize(
+    "f, image",
+    [
+        pytest.param(f, image, id=f + suffix)
+        for image, suffix in COORDINATE_CHANGES
+        for f in _verdicts_shapes()
+    ],
+)
+def test_check_main_is_invariant_under_a_change_of_coordinates(f, image):
+    """A change of coordinates fixing the origin maps contact loci to
+    contact loci, so the jet row's cells, the cone verdict and the
+    verdict stay."""
     before = check_mld_hat_equals_n(ideal(R3, f), (0, 0, 0))
-    after = check_mld_hat_equals_n(ideal(R3, _substitute_x(f)), (0, 0, 0))
+    after = check_mld_hat_equals_n(ideal(R3, f.replace("x", f"({image})")), (0, 0, 0))
     assert after.lambda_report.rows == before.lambda_report.rows
     assert (after.cone_verdict, after.verdict) == (before.cone_verdict, before.verdict)
 
@@ -1088,7 +1133,8 @@ def _reference_tables():
     """The reference cells, one CellTable per clause ideals and point,
     each cell in it without a bound and, where that proves it (a value of
     at most 0 through a point, with an "==" clause), again under bound 0,
-    on the vertex fiber."""
+    on the vertex fiber: the same order, with the image levels' unit
+    equations among its closed generators."""
     groups = {}
     for _, clauses, level, image_level, point in _reference_cells():
         key = (point, tuple(dict.fromkeys(c.ideal for c in clauses)))
